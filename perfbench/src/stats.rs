@@ -1,0 +1,45 @@
+//! Order statistics over timing samples.
+
+/// Median (mean of the two middle values for an even count); 0 when
+/// empty.
+pub fn median(xs: &[f64]) -> f64 {
+    quantile(xs, 0.5)
+}
+
+/// Linearly interpolated quantile `q ∈ [0, 1]` (the "inclusive"
+/// definition); 0 when empty.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// Arithmetic mean; 0 when empty.
+pub fn mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        0.0
+    } else {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let xs = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&xs), 2.5);
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 1.0), 4.0);
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(mean(&xs), 2.5);
+    }
+}
