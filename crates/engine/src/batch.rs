@@ -49,9 +49,12 @@
 //! ## Fallback policy (terminal behaviour is exact)
 //!
 //! Before each leap the kernel re-checks eligibility and hands control to
-//! the **exact leap kernel** (the same geometric-skip + conditional-pair
-//! code path as [`crate::simulator::Simulator::run_leap`], bit-for-bit)
-//! for a burst of [`BatchConfig::exact_burst`] composite steps when:
+//! **exact stepping** for a burst of [`BatchConfig::exact_burst`]
+//! composite steps. An exact step draws the same geometric skip and
+//! conditional pair as [`crate::simulator::Simulator::run_leap`] and
+//! reaches the same values, but applies the firing through its channel's
+//! precompiled deltas ([`BatchCore::fire`]) rather than `run_leap`'s four
+//! per-state updates. The kernel falls back when:
 //!
 //! * **near convergence** — the stability tracker's
 //!   [`StabilityTracker::violations_hint`] is at most
@@ -72,10 +75,11 @@
 //!
 //! Eligibility checks consume **no randomness**, so a configuration that
 //! always falls back (e.g. `safety_threshold = n`) makes `run_batch`
-//! consume the RNG identically to `run_leap` — the bit-identity contract
+//! consume the RNG identically to `run_leap` and produce the same values —
+//! the bit-identity contract the full-fallback proptest in
 //! `tests/batch_kernel.rs` pins down.
 
-use crate::leap::{sample_identity_run, IdentityWeights};
+use crate::leap::{sample_identity_run, IdentityDelta, IdentityWeights};
 use crate::observer::{FallbackReason, Observer};
 use crate::protocol::{CompiledProtocol, StateId};
 use crate::stability::{StabilityCriterion, StabilityTracker};
@@ -83,8 +87,8 @@ use rand::rngs::SmallRng;
 use rand::RngCore;
 
 /// Tuning knobs of the batch kernel. The defaults are deliberately
-/// conservative; `safety_threshold = n` turns the kernel into a
-/// bit-identical replica of the leap kernel (every step falls back).
+/// conservative; `safety_threshold = n` makes every step fall back, and
+/// the run is then bit-identical to the leap kernel's.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Relative propensity-drift bound ε per leap (Cao-style tau
@@ -120,7 +124,7 @@ impl Default for BatchConfig {
     }
 }
 
-/// One non-identity ordered state pair, with its net count effect.
+/// One non-identity ordered state pair, with its full per-firing effect.
 #[derive(Clone, Debug)]
 struct Channel {
     p: usize,
@@ -128,6 +132,8 @@ struct Channel {
     /// Net per-firing count deltas, pre-combined over `(p, −1)`, `(q, −1)`,
     /// `(p2, +1)`, `(q2, +1)` (at most 4 distinct states, zeros dropped).
     deltas: Vec<(usize, i64)>,
+    /// The firing's effect on the identity weights.
+    identity: IdentityDelta,
 }
 
 /// The compiled rule set of the batch kernel: one [`Channel`] per
@@ -136,13 +142,17 @@ struct Channel {
 #[derive(Clone, Debug)]
 pub struct BatchCore {
     channels: Vec<Channel>,
+    /// `pair_channel[p · |Q| + q]`: index of the channel of `(p, q)`
+    /// (`u32::MAX` for identity pairs).
+    pair_channel: Vec<u32>,
     num_states: usize,
 }
 
 impl BatchCore {
     /// Compile the channel set of `proto`.
     pub fn compile(proto: &CompiledProtocol) -> Self {
-        let channels = proto
+        let num_states = proto.num_states();
+        let channels: Vec<Channel> = proto
             .non_identity_rules()
             .into_iter()
             .map(|(p, q, p2, q2)| {
@@ -162,19 +172,50 @@ impl BatchCore {
                 Channel {
                     p: p.index(),
                     q: q.index(),
+                    identity: IdentityDelta::new(proto, &deltas),
                     deltas,
                 }
             })
             .collect();
+        let mut pair_channel = vec![u32::MAX; num_states * num_states];
+        for (i, ch) in channels.iter().enumerate() {
+            pair_channel[ch.p * num_states + ch.q] = i as u32;
+        }
         BatchCore {
             channels,
-            num_states: proto.num_states(),
+            pair_channel,
+            num_states,
         }
     }
 
     /// Number of channels (non-identity ordered state pairs).
     pub fn num_channels(&self) -> usize {
         self.channels.len()
+    }
+
+    /// Fire the effective pair `(p, q)` once: apply its channel's net
+    /// count deltas to `counts` and its precompiled identity-marginal
+    /// deltas and `ΔW_id` to `weights`, in O(net deltas + marginal
+    /// deltas). Returns the net deltas for the caller's other per-state
+    /// bookkeeping (the stability tracker).
+    ///
+    /// Panics if `(p, q)` is an identity pair.
+    pub fn fire(
+        &self,
+        p: StateId,
+        q: StateId,
+        counts: &mut [u64],
+        weights: &mut IdentityWeights,
+    ) -> &[(usize, i64)] {
+        let ch =
+            &self.channels[self.pair_channel[p.index() * self.num_states + q.index()] as usize];
+        weights.apply_channel(&ch.deltas, &ch.identity);
+        for &(s, d) in &ch.deltas {
+            counts[s] = counts[s]
+                .checked_add_signed(d)
+                .expect("fired a channel whose reactants are absent");
+        }
+        &ch.deltas
     }
 }
 
@@ -190,6 +231,8 @@ pub struct Scratch {
     /// Per-state drift `μ_s` and variance `σ²_s` accumulators.
     mu: Vec<f64>,
     sigma2: Vec<f64>,
+    /// Per-state flag: a reactant of some enabled channel.
+    reactant: Vec<bool>,
 }
 
 impl Scratch {
@@ -200,6 +243,7 @@ impl Scratch {
             deltas: vec![0; core.num_states],
             mu: vec![0.0; core.num_states],
             sigma2: vec![0.0; core.num_states],
+            reactant: vec![false; core.num_states],
         }
     }
 }
@@ -288,17 +332,30 @@ impl<'a> BatchTrial<'a> {
             }
         }
         self.exact_left -= 1;
-        self.exact_step(proto, counts, n, total, rng, max_interactions, observer)
+        self.exact_step(
+            proto,
+            core,
+            counts,
+            n,
+            total,
+            rng,
+            max_interactions,
+            observer,
+        )
     }
 
-    /// One exact composite step — a verbatim replica of the
-    /// [`crate::simulator::Simulator::run_leap_observed`] loop body, so
-    /// the RNG consumption, counters, and observer events are
-    /// bit-identical to the leap kernel's.
+    /// One exact composite step: an identity run, then one effective
+    /// interaction applied through its channel's precompiled deltas
+    /// (counts, identity weights and tracker in O(net deltas + marginal
+    /// deltas)). It draws the same randomness and produces the same
+    /// values, counters and observer events as one step of
+    /// [`crate::simulator::Simulator::run_leap_observed`]; the bitwise
+    /// full-fallback proptest in `tests/batch_kernel.rs` pins that.
     #[allow(clippy::too_many_arguments)]
     fn exact_step<O: Observer>(
         &mut self,
         proto: &CompiledProtocol,
+        core: &BatchCore,
         counts: &mut [u64],
         n: u64,
         total: u64,
@@ -323,14 +380,9 @@ impl<'a> BatchTrial<'a> {
         let (p2, q2) = proto.delta(p, q);
         self.interactions += 1;
         self.effective += 1;
-        for (s, delta) in [(p, -1), (q, -1), (p2, 1), (q2, 1)] {
-            self.weights.apply_delta(proto, s, delta);
-            self.tracker.apply_delta(s, delta);
+        for &(s, d) in core.fire(p, q, counts, &mut self.weights) {
+            self.tracker.apply_delta(StateId(s as u16), d);
         }
-        counts[p.index()] -= 1;
-        counts[q.index()] -= 1;
-        counts[p2.index()] += 1;
-        counts[q2.index()] += 1;
         observer.on_interaction(self.interactions, p, q, p2, q2, counts);
         if self.tracker.is_stable(proto, counts) {
             StepOutcome::Stable
@@ -364,6 +416,7 @@ impl<'a> BatchTrial<'a> {
         // Channel weights for the frozen configuration.
         let mut w_eff: u64 = 0;
         let mut w_low: u64 = 0;
+        scratch.reactant.iter_mut().for_each(|r| *r = false);
         for (i, ch) in core.channels.iter().enumerate() {
             let cp = counts[ch.p];
             let cq = counts[ch.q];
@@ -374,8 +427,13 @@ impl<'a> BatchTrial<'a> {
                 cp * cq
             };
             scratch.weights[i] = w;
+            if w == 0 {
+                continue;
+            }
             w_eff += w;
-            if w > 0 && (cp <= cfg.safety_threshold || cq <= cfg.safety_threshold) {
+            scratch.reactant[ch.p] = true;
+            scratch.reactant[ch.q] = true;
+            if cp <= cfg.safety_threshold || cq <= cfg.safety_threshold {
                 w_low += w;
             }
         }
@@ -404,20 +462,17 @@ impl<'a> BatchTrial<'a> {
         }
         let remaining = max_interactions - self.interactions;
         let mut tau = remaining as f64;
-        for (i, ch) in core.channels.iter().enumerate() {
-            if scratch.weights[i] == 0 {
-                continue;
+        // One bound per distinct reactant state of an enabled channel (a
+        // minimum, so independent of visiting order and repeats).
+        for (s, _) in scratch.reactant.iter().enumerate().filter(|(_, &r)| r) {
+            let bound = (cfg.epsilon * counts[s] as f64).max(1.0);
+            let mu = scratch.mu[s];
+            if mu != 0.0 {
+                tau = tau.min(bound * total_f / mu.abs());
             }
-            for s in [ch.p, ch.q] {
-                let bound = (cfg.epsilon * counts[s] as f64).max(1.0);
-                let mu = scratch.mu[s];
-                if mu != 0.0 {
-                    tau = tau.min(bound * total_f / mu.abs());
-                }
-                let s2 = scratch.sigma2[s];
-                if s2 > 0.0 {
-                    tau = tau.min(bound * bound * total_f / s2);
-                }
+            let s2 = scratch.sigma2[s];
+            if s2 > 0.0 {
+                tau = tau.min(bound * bound * total_f / s2);
             }
         }
         if tau * w_eff_f / total_f < cfg.min_batch as f64 {
@@ -663,6 +718,50 @@ mod tests {
             let mut d = ch.deltas.clone();
             d.sort();
             assert_eq!(d, vec![(0, -1), (1, 1)]);
+        }
+    }
+
+    #[test]
+    fn channel_firings_match_per_state_deltas_and_recompute() {
+        // Random protocols cover every rule shape: catalysts whose −1/+1
+        // cancel, self-pairs, swaps, and double deltas on one state.
+        let mut rng = SmallRng::seed_from_u64(5);
+        for _ in 0..40 {
+            let m = 2 + (rng.next_u64() % 5) as usize;
+            let mut spec = ProtocolSpec::new("random");
+            let states: Vec<StateId> = (0..m).map(|i| spec.add_state(format!("s{i}"), 1)).collect();
+            spec.set_initial(states[0]);
+            for &p in &states {
+                for &q in &states {
+                    if rng.next_u64() % 2 == 0 {
+                        let p2 = states[(rng.next_u64() % m as u64) as usize];
+                        let q2 = states[(rng.next_u64() % m as u64) as usize];
+                        spec.add_rule(p, q, p2, q2);
+                    }
+                }
+            }
+            let proto = spec.compile().unwrap();
+            let core = BatchCore::compile(&proto);
+            let n = 40u64;
+            let mut counts = vec![0u64; m];
+            for _ in 0..n {
+                counts[(rng.next_u64() % m as u64) as usize] += 1;
+            }
+            let mut fast = IdentityWeights::new(&proto, &counts);
+            let mut reference = fast.clone();
+            for _ in 0..200 {
+                if fast.identity_weight() == n * (n - 1) {
+                    break;
+                }
+                let (p, q) = fast.sample_effective(&proto, n, &counts, &mut rng);
+                let (p2, q2) = proto.delta(p, q);
+                for (s, d) in [(p, -1), (q, -1), (p2, 1), (q2, 1)] {
+                    reference.apply_delta(&proto, s, d);
+                }
+                core.fire(p, q, &mut counts, &mut fast);
+                assert_eq!(fast, reference);
+                assert_eq!(fast, IdentityWeights::new(&proto, &counts));
+            }
         }
     }
 

@@ -28,7 +28,10 @@
 //! O(1) lookup cost of the naive loop — a trade that wins whenever the
 //! expected identity-run length exceeds a few |Q|, which is precisely the
 //! stabilisation-dominated regime the paper's large-`n` measurements live
-//! in.
+//! in. `IdentityWeights::apply_channel` folds a whole transition from
+//! its precompiled `IdentityDelta` in O(non-zero entries) instead; the
+//! batch kernel's exact steps use it, while `run_leap` keeps the
+//! per-state path as the reference.
 
 use crate::protocol::{CompiledProtocol, StateId};
 use rand::rngs::SmallRng;
@@ -37,7 +40,7 @@ use rand::{Rng, RngCore};
 /// Maintained weight of identity ordered pairs in the current
 /// configuration, with per-state row/column marginals for O(|Q|) updates
 /// and O(occupied states) conditional sampling.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdentityWeights {
     /// `row[p] = Σ_q id(p, q) · c_q` — identity mass of state `p` as
     /// first participant, per agent of `p` (before the `p = q` exclusion).
@@ -133,6 +136,29 @@ impl IdentityWeights {
         }
     }
 
+    /// Fold one firing of a precompiled transition: net count deltas
+    /// `deltas` (`(s, d_s)`, zeros dropped) and their [`IdentityDelta`].
+    /// Leaves the weights exactly as the per-state [`Self::apply_delta`]
+    /// sequence would, in O(|deltas| + |marginal deltas|) instead of
+    /// O(|Q|) per participant.
+    ///
+    /// With `row`/`col` read *before* the firing,
+    /// `ΔW_id = Σ_s d_s·(row[s] + col[s]) + K`, where `K` is the
+    /// count-independent [`IdentityDelta`] constant.
+    #[inline]
+    pub(crate) fn apply_channel(&mut self, deltas: &[(usize, i64)], effect: &IdentityDelta) {
+        const OUT_OF_SYNC: &str = "channel deltas out of sync with the identity weights";
+        let mut dw = effect.w_id_const;
+        for &(s, d) in deltas {
+            dw += d * (self.row[s] + self.col[s]) as i64;
+        }
+        self.w_id = self.w_id.checked_add_signed(dw).expect(OUT_OF_SYNC);
+        for &(x, dr, dc) in &effect.marginals {
+            self.row[x] = self.row[x].checked_add_signed(dr).expect(OUT_OF_SYNC);
+            self.col[x] = self.col[x].checked_add_signed(dc).expect(OUT_OF_SYNC);
+        }
+    }
+
     /// Sample an ordered pair of distinct agents conditioned on the
     /// interaction being *effective* (non-identity), with the exact
     /// conditional distribution of the uniform random scheduler.
@@ -183,6 +209,59 @@ impl IdentityWeights {
             unreachable!("effective-pair column scan exhausted");
         }
         unreachable!("effective-pair row scan exhausted");
+    }
+}
+
+/// The count-independent part of one transition's effect on
+/// [`IdentityWeights`], for `IdentityWeights::apply_channel`.
+///
+/// Under net count deltas `d`, `row[x] = Σ_q id(x, q)·c_q` moves by
+/// `Σ_s id(x, s)·d_s` and `col[x] = Σ_p id(p, x)·c_p` by
+/// `Σ_s id(s, x)·d_s`; expanding
+/// `W_id = Σ_{a,b} id(a, b)·c_a·c_b − Σ_a id(a, a)·c_a` gives
+///
+/// ```text
+/// ΔW_id = Σ_s d_s·(row[s] + col[s]) + Σ_{a,b} id(a, b)·d_a·d_b − Σ_a id(a, a)·d_a
+/// ```
+///
+/// whose last two sums depend on the transition alone.
+#[derive(Clone, Debug)]
+pub(crate) struct IdentityDelta {
+    /// `(x, Δrow[x], Δcol[x])` for every `x` with a non-zero entry.
+    marginals: Vec<(usize, i64, i64)>,
+    /// `Σ_{a,b} id(a, b)·d_a·d_b − Σ_a id(a, a)·d_a`.
+    w_id_const: i64,
+}
+
+impl IdentityDelta {
+    /// Precompute the effect of net count deltas `deltas` (`(s, d_s)`)
+    /// under `proto`'s identity relation. O(|deltas| · |Q|).
+    pub(crate) fn new(proto: &CompiledProtocol, deltas: &[(usize, i64)]) -> Self {
+        let m = proto.num_states();
+        let mut marginals = Vec::new();
+        for x in 0..m {
+            let (mut dr, mut dc) = (0i64, 0i64);
+            for &(s, d) in deltas {
+                let s = StateId(s as u16);
+                dr += i64::from(proto.identity_col(s)[x]) * d;
+                dc += i64::from(proto.identity_row(s)[x]) * d;
+            }
+            if dr != 0 || dc != 0 {
+                marginals.push((x, dr, dc));
+            }
+        }
+        let mut w_id_const = 0i64;
+        for &(a, da) in deltas {
+            let id_row = proto.identity_row(StateId(a as u16));
+            for &(b, db) in deltas {
+                w_id_const += i64::from(id_row[b]) * da * db;
+            }
+            w_id_const -= i64::from(id_row[a]) * da;
+        }
+        IdentityDelta {
+            marginals,
+            w_id_const,
+        }
     }
 }
 

@@ -9,14 +9,16 @@
 //! most recent `capacity` records, which is exactly the "what just
 //! happened" evidence wanted after a panic or SIGTERM.
 //!
-//! The only lock in the module guards the name/label interner, taken when
-//! a record is written (names come from a small fixed set, labels from
-//! cell stems, so the critical section is a `BTreeMap` lookup) and once
-//! per snapshot to clone the string table. The hot slot publish itself is
-//! lock-free.
+//! The only lock in the module guards the name/label interner and the
+//! write-index claim, taken when a record is written (names come from a
+//! small fixed set, labels from cell stems, so the critical section is a
+//! `BTreeMap` lookup) and once per snapshot to resolve the string ids. The
+//! hot slot publish itself is lock-free. The interner keeps only strings
+//! that records still in the ring can reference, so it is bounded by the
+//! capacity like the ring itself.
 
 use pp_telemetry::json::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -151,28 +153,58 @@ impl Slot {
     }
 }
 
+/// The string table behind the slots' `name`/`label` ids.
+///
+/// Ids are never reused, so an id read from a slot resolves to its own
+/// string or, once evicted, to nothing. A string is evicted only after
+/// every write that used it has been superseded in the ring.
 #[derive(Default)]
 struct Interner {
-    by_name: BTreeMap<String, u64>,
-    names: Vec<String>,
+    /// String → (id, index of the last write that used it).
+    by_name: BTreeMap<String, (u64, u64)>,
+    /// Id → string; id 0 is the empty string, meaning "no label".
+    names: HashMap<u64, String>,
+    next_id: u64,
 }
 
 impl Interner {
-    fn intern(&mut self, s: &str) -> u64 {
+    /// Id of `s` for write `index`, recording that use.
+    fn intern(&mut self, s: &str, index: u64) -> u64 {
         if self.names.is_empty() {
-            // Index 0 is the empty string so `0` can mean "no label".
-            self.names.push(String::new());
+            self.names.insert(0, String::new());
+            self.next_id = 1;
         }
         if s.is_empty() {
             return 0;
         }
-        if let Some(&idx) = self.by_name.get(s) {
-            return idx;
+        if let Some((id, last)) = self.by_name.get_mut(s) {
+            *last = index;
+            return *id;
         }
-        let idx = self.names.len() as u64;
-        self.names.push(s.to_string());
-        self.by_name.insert(s.to_string(), idx);
-        idx
+        let id = self.next_id;
+        self.next_id += 1;
+        self.names.insert(id, s.to_string());
+        self.by_name.insert(s.to_string(), (id, index));
+        id
+    }
+
+    /// Drop strings no live record can reference once write `index` is
+    /// claimed: writes at or before `index − capacity` have had their slots
+    /// claimed by later writes. The ring's live records use at most
+    /// `2 · capacity` strings, so sweeping only past `4 · capacity` keeps
+    /// the table O(capacity) at amortised O(1) cost per write.
+    fn evict(&mut self, index: u64, capacity: u64) {
+        if self.by_name.len() as u64 <= 4 * capacity {
+            return;
+        }
+        let names = &mut self.names;
+        self.by_name.retain(|_, &mut (id, last)| {
+            let live = last + capacity > index;
+            if !live {
+                names.remove(&id);
+            }
+            live
+        });
     }
 }
 
@@ -221,7 +253,8 @@ impl FlightRecorder {
         self.next.load(Ordering::Relaxed)
     }
 
-    /// Write one record. Lock-free except for name/label interning.
+    /// Write one record. Lock-free except for name/label interning and
+    /// the write-index claim.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
@@ -237,11 +270,18 @@ impl FlightRecorder {
         if self.slots.is_empty() {
             return;
         }
-        let (name_idx, label_idx) = {
-            let mut interner = self.interner.lock().unwrap();
-            (interner.intern(name), interner.intern(label))
+        // The index is claimed under the interner lock, so eviction sees
+        // every write that precedes it.
+        let (index, name_idx, label_idx) = {
+            let mut interner = self.interner.lock().expect("recorder interner poisoned");
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            interner.evict(index, self.slots.len() as u64);
+            (
+                index,
+                interner.intern(name, index),
+                interner.intern(label, index),
+            )
         };
-        let index = self.next.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(index % self.slots.len() as u64) as usize];
         // Per-slot seqlock publish: mark the slot as mid-write, store the
         // fields, then publish with the even sequence. The release fence
@@ -266,9 +306,7 @@ impl FlightRecorder {
     /// Non-destructive: the ring keeps recording. Slots caught mid-write
     /// (or overwritten between the two sequence reads) are skipped.
     pub fn snapshot(&self) -> Vec<Record> {
-        let names: Vec<String> = self.interner.lock().unwrap().names.clone();
-        let resolve = |idx: u64| -> String { names.get(idx as usize).cloned().unwrap_or_default() };
-        let mut out = Vec::new();
+        let mut raw = Vec::new();
         for slot in self.slots.iter() {
             let seq1 = slot.seq.load(Ordering::Acquire);
             if seq1 == EMPTY || seq1 % 2 == 1 {
@@ -292,18 +330,35 @@ impl FlightRecorder {
             let Some(kind) = RecordKind::from_code(kind) else {
                 continue;
             };
-            out.push(Record {
-                seq: (seq1 - 2) / 2,
-                kind,
-                id,
-                parent,
+            raw.push((
+                name,
+                label,
+                Record {
+                    seq: (seq1 - 2) / 2,
+                    kind,
+                    id,
+                    parent,
+                    name: String::new(),
+                    label: String::new(),
+                    start_micros: start,
+                    end_micros: end,
+                    value,
+                },
+            ));
+        }
+        // Resolve after reading the slots: ids are never reused, so every
+        // record still live at this point finds its strings.
+        let interner = self.interner.lock().expect("recorder interner poisoned");
+        let resolve = |id: u64| interner.names.get(&id).cloned().unwrap_or_default();
+        let mut out: Vec<Record> = raw
+            .into_iter()
+            .map(|(name, label, rec)| Record {
                 name: resolve(name),
                 label: resolve(label),
-                start_micros: start,
-                end_micros: end,
-                value,
-            });
-        }
+                ..rec
+            })
+            .collect();
+        drop(interner);
         out.sort_by_key(|r| r.seq);
         out
     }
@@ -459,5 +514,32 @@ mod tests {
             rec.record(RecordKind::Event, 0, 0, "same", "lbl", 0, 0, 0);
         }
         assert_eq!(rec.interner.lock().unwrap().names.len(), 3); // "", "same", "lbl"
+    }
+
+    #[test]
+    fn interner_stays_bounded_by_capacity() {
+        let capacity = 16usize;
+        let rec = FlightRecorder::with_capacity(capacity);
+        let writes = 10 * capacity;
+        for i in 0..writes {
+            let label = format!("cell-{i}");
+            rec.record(RecordKind::SpanClose, 1, 0, "serve.cell", &label, 0, 1, 0);
+            // At most 4 · capacity strings survive a sweep check, plus the
+            // write's own name and label, plus the empty string.
+            let interner = rec.interner.lock().unwrap();
+            assert!(
+                interner.names.len() <= 4 * capacity + 3,
+                "{}",
+                interner.names.len()
+            );
+            assert_eq!(interner.names.len(), interner.by_name.len() + 1);
+        }
+        // Every live record still resolves its own name and label.
+        let snap = rec.snapshot();
+        assert_eq!(snap.len(), capacity);
+        for r in &snap {
+            assert_eq!(r.name, "serve.cell");
+            assert_eq!(r.label, format!("cell-{}", r.seq));
+        }
     }
 }

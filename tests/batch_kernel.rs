@@ -30,11 +30,15 @@ proptest! {
     /// `run_batch` with `safety_threshold = n` (every step low-count →
     /// always falls back) is bit-identical to `run_leap`: same
     /// interaction and effective-interaction counts, same final
-    /// configuration, for the same seed.
+    /// configuration, for the same seed. The fallback applies each
+    /// firing through its channel's precompiled deltas while `run_leap`
+    /// folds four per-state deltas, so k up to 8 sends every Algorithm 1
+    /// rule shape (the rule 3/4 flips with cancelling catalyst deltas,
+    /// the rule 8 self-pair) through both paths.
     #[test]
     fn full_fallback_is_bit_identical_to_leap(
-        k in 2usize..=4,
-        n in 10u64..=60,
+        k in 2usize..=8,
+        n in 10u64..=200,
         seed in 1u64..100_000,
     ) {
         let kp = UniformKPartition::new(k);
