@@ -1,7 +1,7 @@
 //! Environment-tunable experiment configuration.
 //!
-//! Every consumer of the experiment stack — the legacy figure binaries,
-//! the `pp-sweep` orchestrator, CI smoke runs — honours the same three
+//! Every consumer of the experiment stack — the `experiments` helpers,
+//! the `pp-sweep` orchestrator, CI smoke runs — honours the same four
 //! knobs, resolved here so they cannot drift apart:
 //!
 //! * `PP_TRIALS` — trials per cell (default 100, the paper's count);
@@ -10,41 +10,18 @@
 //! * `PP_RESULTS_DIR` — where CSVs, logs, and the `pp-sweep` result
 //!   store live (default `<workspace root>/results`);
 //! * `PP_KERNEL` — simulation kernel selection (`auto`, `leap`, `batch`,
-//!   or `naive`; default `auto`).
+//!   or `naive`; default `auto`, which means leap), read through
+//!   [`Kernel::from_env`].
 
+use pp_engine::Kernel;
 use std::path::PathBuf;
 
-/// The `PP_KERNEL` knob: which simulation kernel count-population runs
-/// should use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelKnob {
-    /// Let the runner pick (currently the leap kernel wherever its
-    /// observer contract suffices; trajectory capture stays naive).
-    Auto,
-    /// Force the naive one-interaction-per-step loop.
-    Naive,
-    /// Force the leap kernel.
-    Leap,
-    /// Force the tau-leap batch kernel (bounded-error bulk firing with
-    /// exact-leap fallback near convergence; see `pp_engine::batch`).
-    Batch,
-}
-
-/// Kernel selection; `PP_KERNEL` ∈ {`auto`, `naive`, `leap`, `batch`}
-/// (case-insensitive) overrides the default `auto`. Unrecognised values
-/// fall back to `auto` rather than aborting, matching the other knobs'
-/// lenient parsing.
-pub fn kernel() -> KernelKnob {
-    match std::env::var("PP_KERNEL")
-        .unwrap_or_default()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "naive" => KernelKnob::Naive,
-        "leap" => KernelKnob::Leap,
-        "batch" => KernelKnob::Batch,
-        _ => KernelKnob::Auto,
-    }
+/// Kernel selection: `PP_KERNEL` (case-insensitive) names a kernel;
+/// unset, `auto` and unrecognised values mean the leap kernel, which is
+/// exact for every criterion and observer — unknown values fall back
+/// rather than abort, matching the other knobs' lenient parsing.
+pub fn kernel() -> Kernel {
+    Kernel::from_env().ok().flatten().unwrap_or(Kernel::Leap)
 }
 
 /// Trials per data point; `PP_TRIALS` overrides the paper's 100.

@@ -7,8 +7,9 @@
 //! only loop over their parameter grids.
 
 use crate::grouping::{grouping_breakdown, GroupingBreakdown};
-use crate::runner::{run_trials, run_trials_watching, TrialBatch, TrialConfig};
+use crate::runner::{run_trials, TrialBatch, TrialConfig, WatchedTrial};
 use crate::stats::Summary;
+use pp_engine::observer::{GroupCompletionObserver, NullObserver};
 use pp_engine::seeds;
 use pp_protocols::kpartition::UniformKPartition;
 
@@ -35,7 +36,8 @@ impl KPartitionCell {
 ///
 /// The cell's master seed is derived from `(master_seed, k, n)`, so whole
 /// sweeps are reproducible from a single recorded seed and cells are
-/// independent of sweep order.
+/// independent of sweep order. The kernel comes from `PP_KERNEL`
+/// ([`crate::config::kernel`]).
 pub fn kpartition_cell(k: usize, n: u64, trials: usize, master_seed: u64) -> KPartitionCell {
     let kp = UniformKPartition::new(k);
     let proto = kp.compile();
@@ -44,7 +46,15 @@ pub fn kpartition_cell(k: usize, n: u64, trials: usize, master_seed: u64) -> KPa
         master_seed: seeds::derive_labelled(master_seed, k as u64, n),
         max_interactions: kp.interaction_budget(n),
     };
-    let batch = run_trials(&proto, n, &kp.stable_signature(n), cfg);
+    let outcomes = run_trials(
+        &proto,
+        n,
+        &kp.stable_signature(n),
+        cfg,
+        crate::config::kernel(),
+        || NullObserver,
+    );
+    let batch = TrialBatch::new(outcomes.into_iter().map(|(o, _)| o));
     KPartitionCell { k, n, batch }
 }
 
@@ -75,7 +85,20 @@ pub fn kpartition_grouping_cell(
         master_seed: seeds::derive_labelled(master_seed, k as u64, n),
         max_interactions: kp.interaction_budget(n),
     };
-    let watched = run_trials_watching(&proto, n, &kp.stable_signature(n), kp.g(k), cfg);
+    let watched: Vec<WatchedTrial> = run_trials(
+        &proto,
+        n,
+        &kp.stable_signature(n),
+        cfg,
+        crate::config::kernel(),
+        || GroupCompletionObserver::new(kp.g(k)),
+    )
+    .into_iter()
+    .map(|(o, gc)| WatchedTrial {
+        total: o.interactions,
+        completions: gc.into_completions(),
+    })
+    .collect();
     KPartitionGroupingCell {
         k,
         n,

@@ -24,8 +24,8 @@ pub struct GroupingBreakdown {
     pub trials_used: usize,
 }
 
-/// Aggregate the per-trial completion logs produced by
-/// [`crate::runner::run_trials_watching`] into mean `NI'_i` increments.
+/// Aggregate per-trial completion logs (see
+/// [`crate::runner::WatchedTrial`]) into mean `NI'_i` increments.
 ///
 /// All non-censored trials must have completed the same number of
 /// groupings (they do for the k-partition protocol, where the count is

@@ -9,9 +9,10 @@
 //! The paper's methodology (§5): for each data point, run 100 simulations
 //! under the uniform random scheduler and report the mean number of
 //! interactions to reach a stable configuration. [`runner::run_trials`]
-//! reproduces exactly that, fanned out over threads with rayon — each
-//! trial's RNG is derived from `(master_seed, trial_index)` so results are
-//! independent of thread interleaving and bit-reproducible.
+//! reproduces exactly that, fanning [`runner::run_trial`] out over threads
+//! with rayon — each trial's RNG is derived from `(master_seed,
+//! trial_index)` so results are independent of thread interleaving and
+//! bit-reproducible.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]

@@ -1,18 +1,26 @@
-//! Parallel trial fan-out.
+//! One trial, and a parallel fan-out of trials.
 //!
-//! [`run_trials`] reproduces the paper's methodology: `trials` independent
-//! executions of a protocol from its initial configuration under the
-//! uniform random scheduler, each stopping at the supplied stability
-//! criterion, returning the per-trial interaction counts. Trials are
-//! mapped over a rayon thread pool; determinism is preserved because trial
-//! `i`'s RNG seed is `seeds::derive(master_seed, i)` regardless of which
-//! thread runs it.
+//! [`run_trial`] is the unit of work: one execution of a protocol with
+//! `n` agents, all in the initial state, under the uniform random
+//! scheduler on a chosen [`Kernel`], until the stability criterion holds
+//! or the interaction budget runs out. [`run_trials`] reproduces the
+//! paper's methodology: `trials` independent executions mapped over a
+//! rayon thread pool. Determinism is preserved because trial `i`'s RNG
+//! seed is `seeds::derive(master_seed, i)` regardless of which thread
+//! runs it, and `pp-sweep`'s journaled executor runs trial `i` of a cell
+//! as exactly the same [`run_trial`] call, so a resumed sweep reproduces
+//! a fresh one bit for bit (per kernel — the kernel is part of a sweep
+//! cell's identity). Neither function reads the environment: callers
+//! pass the kernel (the `experiments` helpers resolve `PP_KERNEL`
+//! through [`crate::config::kernel`]).
 
-use pp_engine::population::CountPopulation;
+use pp_engine::metrics::TelemetryObserver;
+use pp_engine::observer::{Chain, Observer};
+use pp_engine::population::{CountPopulation, Population};
 use pp_engine::protocol::CompiledProtocol;
 use pp_engine::scheduler::UniformRandomScheduler;
 use pp_engine::seeds;
-use pp_engine::simulator::{RunError, Simulator};
+use pp_engine::simulator::{Kernel, RunError, Simulator};
 use pp_engine::stability::StabilityCriterion;
 use rayon::prelude::*;
 
@@ -28,17 +36,6 @@ pub struct TrialConfig {
     pub max_interactions: u64,
 }
 
-impl TrialConfig {
-    /// The paper's default: 100 trials.
-    pub fn paper_default(master_seed: u64, max_interactions: u64) -> Self {
-        TrialConfig {
-            trials: 100,
-            master_seed,
-            max_interactions,
-        }
-    }
-}
-
 /// Outcome of a trial batch.
 #[derive(Clone, Debug)]
 pub struct TrialBatch {
@@ -50,6 +47,23 @@ pub struct TrialBatch {
 }
 
 impl TrialBatch {
+    /// Split trial outcomes into completed interaction counts (in trial
+    /// order) and the number censored.
+    pub fn new(outcomes: impl IntoIterator<Item = TrialOutcome>) -> Self {
+        let mut interactions = Vec::new();
+        let mut censored = 0;
+        for o in outcomes {
+            match o.interactions {
+                Some(x) => interactions.push(x),
+                None => censored += 1,
+            }
+        }
+        TrialBatch {
+            interactions,
+            censored,
+        }
+    }
+
     /// Mean interactions over completed trials (the paper's reported
     /// statistic).
     ///
@@ -69,341 +83,21 @@ impl TrialBatch {
     }
 }
 
-/// Which simulation kernel a trial runs on. Participates in result
-/// identity wherever trials are cached (`pp-sweep` records it in the cell
-/// key): the kernels agree in distribution but consume randomness
-/// differently, so a given seed produces different — equally valid —
-/// trajectories under each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// The naive one-interaction-per-step loop ([`Simulator::run`]).
-    Naive,
-    /// The leap kernel ([`Simulator::run_leap`]): identity interactions
-    /// are skipped in closed form.
-    Leap,
-    /// The tau-leap batch kernel ([`Simulator::run_batch`]): whole
-    /// batches of rule firings per step, bounded-error in the bulk and
-    /// exact near convergence (see `pp_engine::batch` for the error
-    /// model). [`run_trials`] advances batch trials through the
-    /// struct-of-arrays fleet runner ([`pp_engine::fleet`]), which is
-    /// bit-identical per seed to the scalar entry point used by
-    /// `pp-sweep`.
-    Batch,
-}
-
-impl Kernel {
-    /// Resolve the `PP_KERNEL` environment knob
-    /// ([`crate::config::kernel`]) to a concrete kernel; `auto` means
-    /// leap, which is exact for every criterion and for the observers the
-    /// batch runners use.
-    pub fn from_env() -> Kernel {
-        match crate::config::kernel() {
-            crate::config::KernelKnob::Naive => Kernel::Naive,
-            crate::config::KernelKnob::Batch => Kernel::Batch,
-            crate::config::KernelKnob::Leap | crate::config::KernelKnob::Auto => Kernel::Leap,
-        }
-    }
-}
-
-/// Run one trial with an already-derived `seed`, returning the
-/// interactions to stability or `None` if the run hit `max_interactions`
-/// (censored). This is the unit of work both the batch runners below and
-/// `pp-sweep`'s journaled executor share: trial `i` of a batch is exactly
-/// `run_trial(.., seeds::derive(master_seed, i), ..)`, so a resumed sweep
-/// reproduces a fresh one bit for bit (per kernel — the kernel is part of
-/// a sweep cell's identity).
-///
-/// The kernel comes from the `PP_KERNEL` knob; see [`run_trial_kernel`]
-/// for an explicit choice.
-///
-/// # Panics
-/// On any simulator error other than the interaction budget.
-pub fn run_trial<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    seed: u64,
-    max_interactions: u64,
-) -> Option<u64>
-where
-    C: StabilityCriterion,
-{
-    run_trial_kernel(
-        proto,
-        n,
-        criterion,
-        seed,
-        max_interactions,
-        Kernel::from_env(),
-    )
-}
-
-/// [`run_trial`] with an explicit kernel choice.
-///
-/// # Panics
-/// On any simulator error other than the interaction budget.
-pub fn run_trial_kernel<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    seed: u64,
-    max_interactions: u64,
-    kernel: Kernel,
-) -> Option<u64>
-where
-    C: StabilityCriterion,
-{
-    let mut pop = CountPopulation::new(proto, n);
-    let mut sched = UniformRandomScheduler::from_seed(seed);
-    // Telemetry rides along as an observer: it never touches scheduling
-    // or RNG state, so trajectories — and the sweep cache's content
-    // hashes built on them — are bit-identical to an unobserved run.
-    let mut tel = pp_engine::metrics::TelemetryObserver::new();
-    let sim = Simulator::new(proto);
-    let res = match kernel {
-        Kernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-        Kernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-        Kernel::Batch => {
-            sim.run_batch_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-    };
-    match res {
-        Ok(r) => Some(r.interactions),
-        Err(RunError::InteractionLimit { .. }) => {
-            tel.mark_censored();
-            None
-        }
-        Err(e) => panic!("trial failed: {e}"),
-    }
-}
-
-/// Run `cfg.trials` independent executions of `proto` with `n` agents
-/// (all starting in the initial state) and the given stability criterion,
-/// in parallel. See module docs for the determinism guarantee.
-pub fn run_trials<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    cfg: TrialConfig,
-) -> TrialBatch
-where
-    C: StabilityCriterion + Sync,
-{
-    let kernel = Kernel::from_env();
-    if kernel == Kernel::Batch {
-        return run_trials_batch_fleet(proto, n, criterion, cfg);
-    }
-    let results: Vec<Option<u64>> = (0..cfg.trials as u64)
-        .into_par_iter()
-        .map(|i| {
-            run_trial_kernel(
-                proto,
-                n,
-                criterion,
-                seeds::derive(cfg.master_seed, i),
-                cfg.max_interactions,
-                kernel,
-            )
-        })
-        .collect();
-    let mut interactions = Vec::with_capacity(results.len());
-    let mut censored = 0;
-    for r in results {
-        match r {
-            Some(x) => interactions.push(x),
-            None => censored += 1,
-        }
-    }
-    TrialBatch {
-        interactions,
-        censored,
-    }
-}
-
-/// Trials per struct-of-arrays fleet: small enough that a fleet's counts
-/// arena stays cache-resident, large enough to amortise channel
-/// compilation, and plural enough to let rayon spread fleets over cores.
-const FLEET_CHUNK: usize = 64;
-
-/// [`run_trials`] on the batch kernel: trials advance through
-/// [`pp_engine::fleet::run_batch_fleet`] in chunks of [`FLEET_CHUNK`],
-/// one fleet per rayon task. Seeds are the same `derive(master_seed, i)`
-/// grid as every other path, and each fleet member's trajectory is
-/// bit-identical to the scalar `run_batch` of its seed, so results are
-/// interchangeable with the journaled per-trial path `pp-sweep` uses.
-fn run_trials_batch_fleet<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    cfg: TrialConfig,
-) -> TrialBatch
-where
-    C: StabilityCriterion + Sync,
-{
-    let mut initial = vec![0u64; proto.num_states()];
-    initial[proto.initial_state().index()] = n;
-    let batch_cfg = pp_engine::BatchConfig::default();
-    let all_seeds: Vec<u64> = (0..cfg.trials as u64)
-        .map(|i| seeds::derive(cfg.master_seed, i))
-        .collect();
-    let chunks: Vec<Vec<u64>> = all_seeds.chunks(FLEET_CHUNK).map(|c| c.to_vec()).collect();
-    let summaries: Vec<pp_engine::FleetSummary> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            pp_engine::run_batch_fleet(
-                proto,
-                &initial,
-                &chunk,
-                criterion,
-                cfg.max_interactions,
-                &batch_cfg,
-            )
-        })
-        .collect();
-    // Flush the same counters a per-trial TelemetryObserver would have.
-    let metrics = pp_engine::engine_metrics();
-    let mut interactions = Vec::with_capacity(cfg.trials);
-    let mut censored = 0usize;
-    for s in &summaries {
-        metrics.interactions.add(s.interactions);
-        metrics.effective_interactions.add(s.effective_interactions);
-        metrics.leap_batches.add(s.leap_batches);
-        metrics.batch_fallbacks.add(s.batch_fallbacks);
-        for r in &s.results {
-            metrics.runs.inc();
-            match r {
-                Ok(res) => interactions.push(res.interactions),
-                Err(RunError::InteractionLimit { .. }) => {
-                    metrics.censored_runs.inc();
-                    censored += 1;
-                }
-                Err(e) => panic!("trial failed: {e}"),
-            }
-        }
-    }
-    TrialBatch {
-        interactions,
-        censored,
-    }
-}
-
-/// Like [`run_trials`] but additionally records, per trial, the
-/// interaction number at which each increment of `watched_state`
-/// occurred — the paper's Figure 4 instrumentation (watch `g_k`; its
-/// `i`-th increment marks completion of the `i`-th grouping).
-pub fn run_trials_watching<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    watched_state: pp_engine::protocol::StateId,
-    cfg: TrialConfig,
-) -> Vec<WatchedTrial>
-where
-    C: StabilityCriterion + Sync,
-{
-    let kernel = Kernel::from_env();
-    (0..cfg.trials as u64)
-        .into_par_iter()
-        .map(|i| {
-            run_trial_watching_kernel(
-                proto,
-                n,
-                criterion,
-                watched_state,
-                seeds::derive(cfg.master_seed, i),
-                cfg.max_interactions,
-                kernel,
-            )
-        })
-        .collect()
-}
-
-/// Single-trial form of [`run_trials_watching`] with an already-derived
-/// `seed` (see [`run_trial`]); kernel from the `PP_KERNEL` knob.
-pub fn run_trial_watching<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    watched_state: pp_engine::protocol::StateId,
-    seed: u64,
-    max_interactions: u64,
-) -> WatchedTrial
-where
-    C: StabilityCriterion,
-{
-    run_trial_watching_kernel(
-        proto,
-        n,
-        criterion,
-        watched_state,
-        seed,
-        max_interactions,
-        Kernel::from_env(),
-    )
-}
-
-/// [`run_trial_watching`] with an explicit kernel. The
-/// [`pp_engine::observer::GroupCompletionObserver`] is leap-safe: watched
-/// counts cannot change during an identity run, so seeing only effective
-/// interactions (with true cumulative step numbers) records the same
-/// completion times the naive kernel would for the same trajectory.
-pub fn run_trial_watching_kernel<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    watched_state: pp_engine::protocol::StateId,
-    seed: u64,
-    max_interactions: u64,
-    kernel: Kernel,
-) -> WatchedTrial
-where
-    C: StabilityCriterion,
-{
-    let mut pop = CountPopulation::new(proto, n);
-    let mut sched = UniformRandomScheduler::from_seed(seed);
-    let mut obs = pp_engine::observer::Chain(
-        pp_engine::observer::GroupCompletionObserver::new(watched_state),
-        pp_engine::metrics::TelemetryObserver::new(),
-    );
-    let sim = Simulator::new(proto);
-    let res = match kernel {
-        Kernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, criterion, max_interactions, &mut obs)
-        }
-        Kernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, criterion, max_interactions, &mut obs)
-        }
-        // Batch: completion times are recorded at leap granularity (a
-        // completion inside a leap is attributed to the leap's last
-        // interaction) — bounded by one leap horizon, documented on
-        // `Observer::on_leap_batch`.
-        Kernel::Batch => {
-            sim.run_batch_observed(&mut pop, &mut sched, criterion, max_interactions, &mut obs)
-        }
-    };
-    let pp_engine::observer::Chain(gc, mut tel) = obs;
-    match res {
-        Ok(r) => WatchedTrial {
-            total: Some(r.interactions),
-            completions: gc.into_completions(),
-        },
-        Err(RunError::InteractionLimit { .. }) => {
-            tel.mark_censored();
-            WatchedTrial {
-                total: None,
-                completions: gc.into_completions(),
-            }
-        }
-        Err(e) => panic!("trial failed: {e}"),
-    }
+/// One trial's outcome: interactions to stability and the final
+/// configuration (available even for censored runs, whose `interactions`
+/// is `None`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TrialOutcome {
+    /// Interactions to stability; `None` if the budget was hit.
+    pub interactions: Option<u64>,
+    /// Final count vector.
+    pub final_counts: Vec<u64>,
 }
 
 /// One instrumented trial: completion times of each watched-state
-/// increment, plus the total if the run stabilised.
+/// increment, plus the total if the run stabilised — what a
+/// [`pp_engine::observer::GroupCompletionObserver`] passed to
+/// [`run_trial`] records (the paper's Figure 4 instrumentation).
 #[derive(Clone, Debug)]
 pub struct WatchedTrial {
     /// Total interactions to stability; `None` if censored.
@@ -413,111 +107,93 @@ pub struct WatchedTrial {
     pub completions: Vec<u64>,
 }
 
-/// One trial's full outcome: interaction count and the final
-/// configuration (available even for censored runs, whose `interactions`
-/// is `None`).
-#[derive(Clone, Debug)]
-pub struct TrialOutcome {
-    /// Interactions to stability; `None` if the budget was hit.
-    pub interactions: Option<u64>,
-    /// Final count vector.
-    pub final_counts: Vec<u64>,
-}
-
-/// Like [`run_trials`] but returning each trial's final configuration as
-/// well — used by baseline comparisons that measure *uniformity* (group
-/// sizes) of the stable outcome, not just its cost.
-pub fn run_trials_full<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    cfg: TrialConfig,
-) -> Vec<TrialOutcome>
-where
-    C: StabilityCriterion + Sync,
-{
-    let kernel = Kernel::from_env();
-    (0..cfg.trials as u64)
-        .into_par_iter()
-        .map(|i| {
-            run_trial_full_kernel(
-                proto,
-                n,
-                criterion,
-                seeds::derive(cfg.master_seed, i),
-                cfg.max_interactions,
-                kernel,
-            )
-        })
-        .collect()
-}
-
-/// Single-trial form of [`run_trials_full`] with an already-derived
-/// `seed` (see [`run_trial`]); kernel from the `PP_KERNEL` knob.
-pub fn run_trial_full<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    seed: u64,
-    max_interactions: u64,
-) -> TrialOutcome
-where
-    C: StabilityCriterion,
-{
-    run_trial_full_kernel(
-        proto,
-        n,
-        criterion,
-        seed,
-        max_interactions,
-        Kernel::from_env(),
-    )
-}
-
-/// [`run_trial_full`] with an explicit kernel.
-pub fn run_trial_full_kernel<C>(
+/// Run one trial with an already-derived `seed` on `kernel`, reporting
+/// every event to `observer` (pass `&mut NullObserver` for none).
+///
+/// Telemetry rides along: a [`TelemetryObserver`] is chained behind
+/// `observer`. It never touches scheduling or RNG state, so trajectories
+/// — and the sweep cache's content hashes built on them — are
+/// bit-identical to an unobserved run.
+///
+/// # Panics
+/// On any simulator error other than the interaction budget.
+pub fn run_trial<C, O>(
     proto: &CompiledProtocol,
     n: u64,
     criterion: &C,
     seed: u64,
     max_interactions: u64,
     kernel: Kernel,
+    observer: &mut O,
 ) -> TrialOutcome
 where
     C: StabilityCriterion,
+    O: Observer,
 {
     let mut pop = CountPopulation::new(proto, n);
     let mut sched = UniformRandomScheduler::from_seed(seed);
-    let mut tel = pp_engine::metrics::TelemetryObserver::new();
-    let sim = Simulator::new(proto);
-    let res = match kernel {
-        Kernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
+    let mut obs = Chain(observer, TelemetryObserver::new());
+    let res = Simulator::new(proto).run_kernel(
+        kernel,
+        &mut pop,
+        &mut sched,
+        criterion,
+        max_interactions,
+        &mut obs,
+    );
+    let interactions = match res {
+        Ok(r) => Some(r.interactions),
+        Err(RunError::InteractionLimit { .. }) => {
+            obs.1.mark_censored();
+            None
         }
-        Kernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-        Kernel::Batch => {
-            sim.run_batch_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
+        Err(e) => panic!("trial failed: {e}"),
     };
-    use pp_engine::population::Population;
     TrialOutcome {
-        interactions: match res {
-            Ok(r) => Some(r.interactions),
-            Err(RunError::InteractionLimit { .. }) => {
-                tel.mark_censored();
-                None
-            }
-            Err(e) => panic!("trial failed: {e}"),
-        },
+        interactions,
         final_counts: pop.counts().to_vec(),
     }
+}
+
+/// Run `cfg.trials` independent executions of `proto` with `n` agents in
+/// parallel: trial `i` is [`run_trial`] with seed
+/// `seeds::derive(cfg.master_seed, i)` and a fresh `observer()`. Returns
+/// each trial's outcome with its observer, in trial order.
+pub fn run_trials<C, O, F>(
+    proto: &CompiledProtocol,
+    n: u64,
+    criterion: &C,
+    cfg: TrialConfig,
+    kernel: Kernel,
+    observer: F,
+) -> Vec<(TrialOutcome, O)>
+where
+    C: StabilityCriterion + Sync,
+    O: Observer + Send,
+    F: Fn() -> O + Sync,
+{
+    (0..cfg.trials as u64)
+        .into_par_iter()
+        .map(|i| {
+            let mut obs = observer();
+            let outcome = run_trial(
+                proto,
+                n,
+                criterion,
+                seeds::derive(cfg.master_seed, i),
+                cfg.max_interactions,
+                kernel,
+                &mut obs,
+            );
+            (outcome, obs)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_engine::observer::{GroupCompletionObserver, NullObserver};
     use pp_engine::spec::ProtocolSpec;
     use pp_engine::stability::Silent;
 
@@ -531,6 +207,20 @@ mod tests {
         (spec.compile().unwrap(), b)
     }
 
+    fn batch<C: StabilityCriterion + Sync>(
+        p: &CompiledProtocol,
+        n: u64,
+        criterion: &C,
+        cfg: TrialConfig,
+        kernel: Kernel,
+    ) -> TrialBatch {
+        TrialBatch::new(
+            run_trials(p, n, criterion, cfg, kernel, || NullObserver)
+                .into_iter()
+                .map(|(o, _)| o),
+        )
+    }
+
     #[test]
     fn trials_are_deterministic_in_master_seed() {
         let (p, _) = two_phase();
@@ -539,13 +229,13 @@ mod tests {
             master_seed: 99,
             max_interactions: 1_000_000,
         };
-        let a = run_trials(&p, 11, &Silent, cfg);
-        let b = run_trials(&p, 11, &Silent, cfg);
+        let a = batch(&p, 11, &Silent, cfg, Kernel::Leap);
+        let b = batch(&p, 11, &Silent, cfg, Kernel::Leap);
         assert_eq!(a.interactions, b.interactions);
         assert_eq!(a.censored, 0);
         assert_eq!(a.interactions.len(), 16);
         // Different master seed gives a different batch.
-        let c = run_trials(
+        let c = batch(
             &p,
             11,
             &Silent,
@@ -553,8 +243,42 @@ mod tests {
                 master_seed: 100,
                 ..cfg
             },
+            Kernel::Leap,
         );
         assert_ne!(a.interactions, c.interactions);
+    }
+
+    #[test]
+    fn fan_out_equals_per_trial_runs() {
+        // n = 301 is large enough for the batch kernel to take leaps.
+        let (p, _) = two_phase();
+        let cfg = TrialConfig {
+            trials: 20,
+            master_seed: 77,
+            max_interactions: 1_000_000,
+        };
+        for kernel in Kernel::ALL {
+            let fanned: Vec<TrialOutcome> =
+                run_trials(&p, 301, &Silent, cfg, kernel, || NullObserver)
+                    .into_iter()
+                    .map(|(o, _)| o)
+                    .collect();
+            let single: Vec<TrialOutcome> = (0..cfg.trials as u64)
+                .map(|i| {
+                    run_trial(
+                        &p,
+                        301,
+                        &Silent,
+                        seeds::derive(cfg.master_seed, i),
+                        cfg.max_interactions,
+                        kernel,
+                        &mut NullObserver,
+                    )
+                })
+                .collect();
+            assert_eq!(fanned, single, "{kernel}");
+            assert!(fanned.iter().all(|o| o.interactions.is_some()), "{kernel}");
+        }
     }
 
     #[test]
@@ -565,9 +289,11 @@ mod tests {
             master_seed: 1,
             max_interactions: 1, // absurdly tight: n=11 needs ≥ 5 pairings
         };
-        let batch = run_trials(&p, 11, &Silent, cfg);
-        assert_eq!(batch.censored, 8);
-        assert!(batch.interactions.is_empty());
+        for kernel in Kernel::ALL {
+            let batch = batch(&p, 11, &Silent, cfg, kernel);
+            assert_eq!(batch.censored, 8, "{kernel}");
+            assert!(batch.interactions.is_empty(), "{kernel}");
+        }
     }
 
     #[test]
@@ -578,53 +304,17 @@ mod tests {
             master_seed: 5,
             max_interactions: 1_000_000,
         };
-        let trials = run_trials_watching(&p, 10, &Silent, b, cfg);
-        for t in &trials {
-            let total = t.total.expect("not censored");
+        let trials = run_trials(&p, 10, &Silent, cfg, Kernel::Leap, || {
+            GroupCompletionObserver::new(b)
+        });
+        for (o, gc) in trials {
+            let total = o.interactions.expect("not censored");
+            let completions = gc.into_completions();
             // 10 agents -> 5 pairings -> watched count reaches 10.
-            assert_eq!(t.completions.len(), 10);
-            assert!(t.completions.windows(2).all(|w| w[0] <= w[1]));
-            assert_eq!(*t.completions.last().unwrap(), total);
+            assert_eq!(completions.len(), 10);
+            assert!(completions.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(*completions.last().unwrap(), total);
         }
-    }
-
-    #[test]
-    fn fleet_fast_path_matches_per_trial_batch_kernel() {
-        let (p, _) = two_phase();
-        let cfg = TrialConfig {
-            trials: 130, // > 2 × FLEET_CHUNK so chunk boundaries are exercised
-            master_seed: 77,
-            max_interactions: 1_000_000,
-        };
-        let fleet = run_trials_batch_fleet(&p, 301, &Silent, cfg);
-        let scalar: Vec<u64> = (0..cfg.trials as u64)
-            .map(|i| {
-                run_trial_kernel(
-                    &p,
-                    301,
-                    &Silent,
-                    seeds::derive(cfg.master_seed, i),
-                    cfg.max_interactions,
-                    Kernel::Batch,
-                )
-                .expect("uncensored")
-            })
-            .collect();
-        assert_eq!(fleet.interactions, scalar);
-        assert_eq!(fleet.censored, 0);
-    }
-
-    #[test]
-    fn fleet_fast_path_counts_censoring() {
-        let (p, _) = two_phase();
-        let cfg = TrialConfig {
-            trials: 8,
-            master_seed: 1,
-            max_interactions: 1,
-        };
-        let batch = run_trials_batch_fleet(&p, 11, &Silent, cfg);
-        assert_eq!(batch.censored, 8);
-        assert!(batch.interactions.is_empty());
     }
 
     #[test]

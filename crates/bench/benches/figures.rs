@@ -1,16 +1,18 @@
 //! Criterion benchmarks, one group per paper artifact.
 //!
 //! These measure the *wall-clock cost of regenerating* each figure's data
-//! points (the full-fidelity runs live in the `fig3..fig6` binaries;
-//! here each group benches representative cells at reduced trial counts
-//! so `cargo bench` finishes in minutes). Regressions here mean the
+//! points (the full-fidelity runs are `pp-sweep run <plan>`; here each
+//! group benches representative cells at reduced trial counts so
+//! `cargo bench` finishes in minutes). Regressions here mean the
 //! reproduction pipeline — protocol table, sampler, stability check —
 //! got slower.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pp_analysis::experiments::{kpartition_cell, kpartition_grouping_cell};
-use pp_analysis::runner::{run_trials_full, TrialConfig};
+use pp_analysis::runner::{run_trials, TrialConfig};
+use pp_engine::observer::NullObserver;
 use pp_engine::stability::Silent;
+use pp_engine::Kernel;
 use pp_protocols::hierarchical::HierarchicalPartition;
 use pp_protocols::kpartition::ablation::BasicStrategyKPartition;
 
@@ -80,7 +82,7 @@ fn ablation_and_baselines(c: &mut Criterion) {
         let bp = BasicStrategyKPartition::new(4);
         let proto = bp.compile();
         b.iter(|| {
-            run_trials_full(
+            run_trials(
                 &proto,
                 24,
                 &Silent,
@@ -89,6 +91,8 @@ fn ablation_and_baselines(c: &mut Criterion) {
                     master_seed: SEED,
                     max_interactions: 1_000_000_000,
                 },
+                Kernel::Leap,
+                || NullObserver,
             )
         })
     });
@@ -97,7 +101,7 @@ fn ablation_and_baselines(c: &mut Criterion) {
         let proto = hp.compile();
         let crit = hp.stability();
         b.iter(|| {
-            run_trials_full(
+            run_trials(
                 &proto,
                 96,
                 &crit,
@@ -106,6 +110,8 @@ fn ablation_and_baselines(c: &mut Criterion) {
                     master_seed: SEED,
                     max_interactions: 1_000_000_000,
                 },
+                Kernel::Leap,
+                || NullObserver,
             )
         })
     });

@@ -12,20 +12,24 @@
 
 #![forbid(unsafe_code)]
 
+use pp_analysis::config;
 use pp_analysis::experiments::kpartition_cell;
 use pp_analysis::table::{fmt_f64, Table};
-use pp_bench::common;
 use pp_protocols::kpartition::UniformKPartition;
 use pp_verify::hitting::{hitting_moments, SolverOptions};
 use pp_verify::ConfigGraph;
 
 fn main() {
-    common::banner(
-        "Exact vs simulated",
-        "Markov-chain expectations vs sample means (paper's metric, solved exactly)",
+    let seed = config::master_seed();
+    println!(
+        "== Exact vs simulated — Markov-chain expectations vs sample means \
+         (paper's metric, solved exactly)"
     );
-    let trials = common::trials().max(100);
-    let seed = common::master_seed();
+    println!(
+        "   trials/cell = {}, master seed = {seed} (override with PP_TRIALS / PP_SEED)\n",
+        config::trials()
+    );
+    let trials = config::trials().max(100);
 
     let mut table = Table::new(vec![
         "k",
@@ -98,7 +102,7 @@ fn main() {
         "All |z| < 4: the simulator's sample means are statistically \
          indistinguishable from the exact Markov-chain expectations."
     );
-    let path = common::results_path("exact_vs_sim.csv");
+    let path = config::results_path("exact_vs_sim.csv");
     table.write_csv(&path).expect("write csv");
     println!("wrote {}", path.display());
 }

@@ -28,36 +28,14 @@ use pp_engine::observer::Observer;
 use pp_engine::population::CountPopulation;
 use pp_engine::protocol::StateId;
 use pp_engine::scheduler::UniformRandomScheduler;
-use pp_engine::simulator::{RunError, Simulator};
+use pp_engine::simulator::{Kernel, RunError, Simulator};
 use pp_protocols::kpartition::UniformKPartition;
-
-/// Which simulation loop to measure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BenchKernel {
-    /// One scheduler draw per interaction ([`Simulator::run`]).
-    Naive,
-    /// Geometric identity-run skipping ([`Simulator::run_leap`]).
-    Leap,
-    /// Tau-leap bulk firing with exact fallback ([`Simulator::run_batch`]).
-    Batch,
-}
-
-impl BenchKernel {
-    /// Lowercase label for reports and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            BenchKernel::Naive => "naive",
-            BenchKernel::Leap => "leap",
-            BenchKernel::Batch => "batch",
-        }
-    }
-}
 
 /// One timed run of one kernel on one k-partition cell.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelMeasurement {
     /// Which kernel ran.
-    pub kernel: BenchKernel,
+    pub kernel: Kernel,
     /// Partition arity.
     pub k: usize,
     /// Population size.
@@ -114,7 +92,7 @@ impl Observer for EffectiveCounter {
 
 /// Time one seeded k-partition run to stability (or to `budget`
 /// interactions, whichever comes first) under the given kernel.
-pub fn measure(kernel: BenchKernel, k: usize, n: u64, budget: u64, seed: u64) -> KernelMeasurement {
+pub fn measure(kernel: Kernel, k: usize, n: u64, budget: u64, seed: u64) -> KernelMeasurement {
     let kp = UniformKPartition::new(k);
     let proto = kp.compile();
     let criterion = kp.stable_signature(n);
@@ -124,17 +102,14 @@ pub fn measure(kernel: BenchKernel, k: usize, n: u64, budget: u64, seed: u64) ->
     let mut counter = EffectiveCounter::default();
 
     let t0 = Instant::now();
-    let res = match kernel {
-        BenchKernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, &criterion, budget, &mut counter)
-        }
-        BenchKernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, &criterion, budget, &mut counter)
-        }
-        BenchKernel::Batch => {
-            sim.run_batch_observed(&mut pop, &mut sched, &criterion, budget, &mut counter)
-        }
-    };
+    let res = sim.run_kernel(
+        kernel,
+        &mut pop,
+        &mut sched,
+        &criterion,
+        budget,
+        &mut counter,
+    );
     let seconds = t0.elapsed().as_secs_f64();
 
     let (interactions, stabilised) = match res {
@@ -199,8 +174,8 @@ pub fn cell_json(n: u64, ms: &[KernelMeasurement]) -> pp_sweep::json::Value {
         fields.push((m.kernel.label(), measurement_json(m)));
     }
     fields.push(("censored", Value::Bool(censored)));
-    let naive = ms.iter().find(|m| m.kernel == BenchKernel::Naive);
-    let leap = ms.iter().find(|m| m.kernel == BenchKernel::Leap);
+    let naive = ms.iter().find(|m| m.kernel == Kernel::Naive);
+    let leap = ms.iter().find(|m| m.kernel == Kernel::Leap);
     if let (Some(na), Some(le)) = (naive, leap) {
         let (speedup, basis) = if na.stabilised && le.stabilised {
             (na.seconds / le.seconds.max(1e-12), "wall_clock")
@@ -222,7 +197,7 @@ mod tests {
 
     #[test]
     fn all_kernels_stabilise_a_small_cell() {
-        for kernel in [BenchKernel::Naive, BenchKernel::Leap, BenchKernel::Batch] {
+        for kernel in Kernel::ALL {
             let m = measure(kernel, 3, 24, u64::MAX, 7);
             assert!(m.stabilised, "{:?} failed to stabilise", kernel);
             assert!(m.interactions >= m.effective_interactions);
@@ -232,12 +207,12 @@ mod tests {
 
     #[test]
     fn censored_run_reports_the_budget() {
-        let m = measure(BenchKernel::Naive, 3, 24, 10, 7);
+        let m = measure(Kernel::Naive, 3, 24, 10, 7);
         assert!(!m.stabilised);
         assert_eq!(m.interactions, 10);
     }
 
-    fn fake(kernel: BenchKernel, stabilised: bool, seconds: f64, ips: f64) -> KernelMeasurement {
+    fn fake(kernel: Kernel, stabilised: bool, seconds: f64, ips: f64) -> KernelMeasurement {
         KernelMeasurement {
             kernel,
             k: 8,
@@ -255,8 +230,8 @@ mod tests {
         let cell = cell_json(
             1000,
             &[
-                fake(BenchKernel::Naive, true, 2.0, 1e6),
-                fake(BenchKernel::Leap, true, 1.0, 2e6),
+                fake(Kernel::Naive, true, 2.0, 1e6),
+                fake(Kernel::Leap, true, 1.0, 2e6),
             ],
         )
         .encode();
@@ -274,9 +249,9 @@ mod tests {
         let cell = cell_json(
             100_000,
             &[
-                fake(BenchKernel::Naive, false, 2.0, 1e6),
-                fake(BenchKernel::Leap, true, 1.0, 50e6),
-                fake(BenchKernel::Batch, true, 0.5, 100e6),
+                fake(Kernel::Naive, false, 2.0, 1e6),
+                fake(Kernel::Leap, true, 1.0, 50e6),
+                fake(Kernel::Batch, true, 0.5, 100e6),
             ],
         )
         .encode();
@@ -300,7 +275,7 @@ mod tests {
 
     #[test]
     fn cell_json_without_naive_has_no_speedup_pair() {
-        let cell = cell_json(100_000_000, &[fake(BenchKernel::Batch, true, 1.0, 1e12)]).encode();
+        let cell = cell_json(100_000_000, &[fake(Kernel::Batch, true, 1.0, 1e12)]).encode();
         assert!(cell.contains("\"censored\":false"));
         assert!(!cell.contains("speedup"));
     }

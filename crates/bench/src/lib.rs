@@ -1,13 +1,13 @@
 //! # pp-bench — experiment reproduction harness
 //!
-//! One binary per paper artifact (see `src/bin/`): `fig3`, `fig4`,
-//! `fig5`, `fig6`, `ablation_d_states`, `baselines`. Each prints markdown
-//! tables and writes CSV under `results/`. Criterion micro-benchmarks
-//! live under `benches/`.
+//! The paper's figures are reproduced by `pp-sweep run <plan>`. This crate
+//! holds what is not a sweep plan: kernel measurement ([`kernelbench`]
+//! and its `BENCH_engine.json` binary), the topology scan
+//! ([`toposcan`]), the standalone `exact_vs_sim` check (see `src/bin/`),
+//! and Criterion micro-benchmarks under `benches/`.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]
 
-pub mod common;
 pub mod kernelbench;
 pub mod toposcan;

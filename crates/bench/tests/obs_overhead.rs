@@ -10,7 +10,7 @@
 
 use pp_engine::population::{CountPopulation, Population};
 use pp_engine::scheduler::UniformRandomScheduler;
-use pp_engine::simulator::Simulator;
+use pp_engine::simulator::{Kernel, Simulator};
 use pp_engine::PhaseProbe;
 use pp_protocols::kpartition::UniformKPartition;
 use std::hint::black_box;
@@ -37,14 +37,22 @@ fn best_leap_seconds(
         let interactions = if with_probe {
             let mut probe = PhaseProbe::for_protocol(&proto).expect("ukp classifies");
             let r = Simulator::new(&proto)
-                .run_leap_observed(&mut pop, &mut sched, &criterion, budget, &mut probe)
+                .run_kernel(
+                    Kernel::Leap,
+                    &mut pop,
+                    &mut sched,
+                    &criterion,
+                    budget,
+                    &mut probe,
+                )
                 .expect("cell stabilises");
             probe.finish(r.interactions, pop.counts());
             black_box(probe.segments().len());
             r.interactions
         } else {
             let r = Simulator::new(&proto)
-                .run_leap_observed(
+                .run_kernel(
+                    Kernel::Leap,
                     &mut pop,
                     &mut sched,
                     &criterion,

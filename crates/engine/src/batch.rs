@@ -51,10 +51,10 @@
 //! Before each leap the kernel re-checks eligibility and hands control to
 //! **exact stepping** for a burst of [`BatchConfig::exact_burst`]
 //! composite steps. An exact step draws the same geometric skip and
-//! conditional pair as [`crate::simulator::Simulator::run_leap`] and
-//! reaches the same values, but applies the firing through its channel's
-//! precompiled deltas ([`BatchCore::fire`]) rather than `run_leap`'s four
-//! per-state updates. The kernel falls back when:
+//! conditional pair as the leap kernel ([`crate::simulator::Kernel::Leap`])
+//! and reaches the same values, but applies the firing through its
+//! channel's precompiled deltas ([`BatchCore::fire`]) rather than the leap
+//! kernel's four per-state updates. The kernel falls back when:
 //!
 //! * **near convergence** — the stability tracker's
 //!   [`StabilityTracker::violations_hint`] is at most
@@ -74,8 +74,9 @@
 //!   produce a draw keeping every count non-negative.
 //!
 //! Eligibility checks consume **no randomness**, so a configuration that
-//! always falls back (e.g. `safety_threshold = n`) makes `run_batch`
-//! consume the RNG identically to `run_leap` and produce the same values —
+//! always falls back (e.g. `safety_threshold = n`) makes the batch kernel
+//! consume the RNG identically to the leap kernel and produce the same
+//! values —
 //! the bit-identity contract the full-fallback proptest in
 //! `tests/batch_kernel.rs` pins down.
 
@@ -137,8 +138,7 @@ struct Channel {
 }
 
 /// The compiled rule set of the batch kernel: one [`Channel`] per
-/// non-identity ordered state pair. Shared read-only across trials (the
-/// fleet runner compiles it once per cell).
+/// non-identity ordered state pair, compiled once per run.
 #[derive(Clone, Debug)]
 pub struct BatchCore {
     channels: Vec<Channel>,
@@ -220,10 +220,9 @@ impl BatchCore {
 }
 
 /// Reusable per-step workspace, fully reinitialised by every leap
-/// attempt; shared across a fleet's trials so the hot loop allocates
-/// nothing.
+/// attempt, so the hot loop allocates nothing.
 #[derive(Clone, Debug, Default)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     /// Per-channel weight `w_i` for the current configuration.
     weights: Vec<u64>,
     /// Per-state net count delta of the drawn leap.
@@ -250,7 +249,7 @@ impl Scratch {
 
 /// Outcome of one [`BatchTrial::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepOutcome {
+pub(crate) enum StepOutcome {
     /// The run continues.
     Continue,
     /// The configuration is stable; the trial is finished.
@@ -262,10 +261,9 @@ pub enum StepOutcome {
 
 /// Per-trial state of one batch-kernel run: the identity-weight algebra,
 /// the incremental stability tracker, the interaction counters, and the
-/// exact-burst countdown. [`crate::simulator::Simulator::run_batch`]
-/// drives one; [`crate::fleet`] drives hundreds in lockstep over a shared
-/// [`BatchCore`] and [`Scratch`].
-pub struct BatchTrial<'a> {
+/// exact-burst countdown, driven by
+/// [`crate::simulator::Simulator::run_batch_configured`].
+pub(crate) struct BatchTrial<'a> {
     weights: IdentityWeights,
     tracker: Box<dyn StabilityTracker + 'a>,
     /// Cumulative interactions (identities included), the paper's metric.
@@ -349,7 +347,7 @@ impl<'a> BatchTrial<'a> {
     /// (counts, identity weights and tracker in O(net deltas + marginal
     /// deltas)). It draws the same randomness and produces the same
     /// values, counters and observer events as one step of
-    /// [`crate::simulator::Simulator::run_leap_observed`]; the bitwise
+    /// the leap kernel ([`crate::simulator::Kernel::Leap`]); the bitwise
     /// full-fallback proptest in `tests/batch_kernel.rs` pins that.
     #[allow(clippy::too_many_arguments)]
     fn exact_step<O: Observer>(
@@ -439,7 +437,7 @@ impl<'a> BatchTrial<'a> {
         }
         debug_assert_eq!(w_eff, total - self.weights.identity_weight());
         if w_eff == 0 {
-            // Frozen configuration — same verdict run_leap reaches via its
+            // Frozen configuration — same verdict the leap kernel reaches via its
             // w_id == total check, with no randomness drawn.
             return LeapOutcome::Done(StepOutcome::Limit);
         }
@@ -572,7 +570,7 @@ fn uniform53(rng: &mut SmallRng) -> f64 {
 
 /// A standard normal deviate via Box–Muller (two uniforms per call; the
 /// second Box–Muller root is discarded to keep the draw-count per call
-/// fixed, which the fleet's determinism relies on).
+/// fixed per call).
 #[inline]
 fn sample_std_normal(rng: &mut SmallRng) -> f64 {
     // First uniform shifted into (0, 1] so the logarithm is finite.
@@ -644,7 +642,7 @@ mod tests {
     use crate::observer::NullObserver;
     use crate::population::{CountPopulation, Population};
     use crate::scheduler::UniformRandomScheduler;
-    use crate::simulator::Simulator;
+    use crate::simulator::{Kernel, Simulator};
     use crate::spec::ProtocolSpec;
     use crate::stability::Silent;
     use rand::SeedableRng;
@@ -766,25 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_epidemic_stabilises_everyone_infected() {
-        let proto = epidemic();
-        let s = proto.state_by_name("S").unwrap();
-        let i = proto.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&proto, 4096);
-        pop.set_count(s, 4095);
-        pop.set_count(i, 1);
-        let mut sched = UniformRandomScheduler::from_seed(11);
-        let res = Simulator::new(&proto)
-            .run_batch(&mut pop, &mut sched, &Silent, u64::MAX)
-            .unwrap();
-        assert_eq!(pop.count(i), 4096);
-        // Effective interactions are exactly the n − 1 infections on every
-        // path, whether fired in bulk or exactly.
-        assert_eq!(res.effective_interactions, 4095);
-        assert!(res.interactions >= 4095);
-    }
-
-    #[test]
     fn batch_takes_leaps_on_large_populations() {
         let proto = epidemic();
         let s = proto.state_by_name("S").unwrap();
@@ -833,8 +812,9 @@ mod tests {
 
     #[test]
     fn batch_full_fallback_matches_leap_bitwise() {
-        // safety_threshold = n: every step falls back, so run_batch must
-        // replicate run_leap's RNG consumption and counters exactly.
+        // safety_threshold = n: every step falls back, so the batch kernel
+        // must replicate the leap kernel's RNG consumption and counters
+        // exactly.
         let proto = epidemic();
         let s = proto.state_by_name("S").unwrap();
         let i = proto.state_by_name("I").unwrap();
@@ -845,7 +825,14 @@ mod tests {
             pop_a.set_count(i, 1);
             let mut sched_a = UniformRandomScheduler::from_seed(seed);
             let leap = Simulator::new(&proto)
-                .run_leap(&mut pop_a, &mut sched_a, &Silent, u64::MAX)
+                .run_kernel(
+                    Kernel::Leap,
+                    &mut pop_a,
+                    &mut sched_a,
+                    &Silent,
+                    u64::MAX,
+                    &mut NullObserver,
+                )
                 .unwrap();
 
             let mut pop_b = CountPopulation::new(&proto, n);
@@ -869,65 +856,5 @@ mod tests {
             assert_eq!(leap, batch, "seed {seed}");
             assert_eq!(pop_a.counts(), pop_b.counts(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn batch_already_stable_returns_zero() {
-        let proto = epidemic();
-        let i = proto.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&proto, 5);
-        pop.set_count(proto.initial_state(), 0);
-        pop.set_count(i, 5);
-        let mut sched = UniformRandomScheduler::from_seed(0);
-        let res = Simulator::new(&proto)
-            .run_batch(&mut pop, &mut sched, &Silent, 100)
-            .unwrap();
-        assert_eq!(res.interactions, 0);
-    }
-
-    #[test]
-    fn batch_limit_is_reported() {
-        let proto = epidemic();
-        let s = proto.state_by_name("S").unwrap();
-        let i = proto.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&proto, 1000);
-        pop.set_count(s, 999);
-        pop.set_count(i, 1);
-        let mut sched = UniformRandomScheduler::from_seed(2);
-        let err = Simulator::new(&proto)
-            .run_batch(&mut pop, &mut sched, &Silent, 5)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            crate::simulator::RunError::InteractionLimit { limit: 5 }
-        );
-    }
-
-    #[test]
-    fn batch_too_small_population_errors() {
-        let proto = epidemic();
-        let mut pop = CountPopulation::new(&proto, 1);
-        let mut sched = UniformRandomScheduler::from_seed(2);
-        let err = Simulator::new(&proto)
-            .run_batch(&mut pop, &mut sched, &crate::stability::Never, 5)
-            .unwrap_err();
-        assert_eq!(err, crate::simulator::RunError::PopulationTooSmall);
-    }
-
-    #[test]
-    fn batch_frozen_configuration_hits_limit() {
-        let proto = epidemic();
-        let i = proto.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&proto, 50);
-        pop.set_count(proto.initial_state(), 0);
-        pop.set_count(i, 50);
-        let mut sched = UniformRandomScheduler::from_seed(3);
-        let err = Simulator::new(&proto)
-            .run_batch(&mut pop, &mut sched, &crate::stability::Never, u64::MAX)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            crate::simulator::RunError::InteractionLimit { limit: u64::MAX }
-        );
     }
 }

@@ -30,7 +30,7 @@
 //! stabilisation-dominated regime the paper's large-`n` measurements live
 //! in. `IdentityWeights::apply_channel` folds a whole transition from
 //! its precompiled `IdentityDelta` in O(non-zero entries) instead; the
-//! batch kernel's exact steps use it, while `run_leap` keeps the
+//! batch kernel's exact steps use it, while the leap kernel keeps the
 //! per-state path as the reference.
 
 use crate::protocol::{CompiledProtocol, StateId};
@@ -165,8 +165,8 @@ impl IdentityWeights {
     ///
     /// Takes the population as a raw `(n, counts)` pair so callers that
     /// work on detached count vectors (the batch kernel's exact-fallback
-    /// steps, the fleet runner) can share this code path bit-for-bit with
-    /// [`crate::simulator::Simulator::run_leap`].
+    /// steps) can share this code path bit-for-bit with the leap kernel
+    /// ([`crate::simulator::Kernel::Leap`]).
     ///
     /// Requires `W_eff = n(n−1) − W_id > 0`. Cost is O(occupied states)
     /// for the row scan plus O(|Q|) for the column scan of the chosen row.

@@ -29,11 +29,11 @@
 //!   (the paper's convergence metric is "number of interactions until a
 //!   stable configuration").
 //! * [`simulator`] — the execution driver, with an [`observer`] hook for
-//!   recording events such as group-completion times. Offers a naive
+//!   recording events such as group-completion times.
+//!   [`Simulator::run_kernel`] runs one of three [`Kernel`]s: a naive
 //!   one-interaction-per-step loop, a [`leap`] kernel that skips identity
 //!   interactions in closed form, and a tau-leap [`batch`] kernel that
-//!   fires whole batches of rules per step (with a [`fleet`] runner
-//!   advancing many trials in lockstep).
+//!   fires whole batches of rules per step.
 //! * [`trace`] — scripted executions and human-readable configuration
 //!   pretty-printing (used to replay the paper's Figures 1 and 2).
 //! * [`seeds`] — deterministic seed derivation for reproducible experiment
@@ -45,6 +45,7 @@
 //! use pp_engine::spec::ProtocolSpec;
 //! use pp_engine::population::{CountPopulation, Population};
 //! use pp_engine::scheduler::UniformRandomScheduler;
+//! use pp_engine::observer::NullObserver;
 //! use pp_engine::simulator::Simulator;
 //! use pp_engine::stability::Silent;
 //!
@@ -62,7 +63,7 @@
 //! pop.set_count(i, 1);
 //! let mut sched = UniformRandomScheduler::from_seed(7);
 //! let result = Simulator::new(&proto)
-//!     .run(&mut pop, &mut sched, &Silent, 1_000_000)
+//!     .run_observed(&mut pop, &mut sched, &Silent, 1_000_000, &mut NullObserver)
 //!     .unwrap();
 //! assert_eq!(pop.count(i), 50);
 //! assert!(result.interactions > 0);
@@ -74,7 +75,6 @@
 
 pub mod batch;
 pub mod dot;
-pub mod fleet;
 pub mod leap;
 pub mod metrics;
 pub mod observer;
@@ -88,12 +88,11 @@ pub mod spec;
 pub mod stability;
 pub mod trace;
 
-pub use batch::{BatchConfig, BatchCore, BatchTrial, Scratch, StepOutcome};
-pub use fleet::{run_batch_fleet, FleetSummary};
+pub use batch::{BatchConfig, BatchCore};
 pub use metrics::{engine_metrics, EngineMetrics, TelemetryObserver};
 pub use phase::{Phase, PhaseMap, PhaseProbe};
 pub use population::{AgentPopulation, CountPopulation, Population};
 pub use protocol::{CompiledProtocol, GroupId, RuleId, StateId};
 pub use scheduler::UniformRandomScheduler;
-pub use simulator::{FixedRunSummary, RunError, RunResult, Simulator};
+pub use simulator::{FixedRunSummary, Kernel, RunError, RunResult, Simulator};
 pub use spec::ProtocolSpec;

@@ -226,7 +226,7 @@ mod tests {
     use super::*;
     use crate::population::CountPopulation;
     use crate::scheduler::UniformRandomScheduler;
-    use crate::simulator::Simulator;
+    use crate::simulator::{Kernel, Simulator};
     use crate::spec::ProtocolSpec;
     use crate::stability::Silent;
     use pp_telemetry::{MetricData, Snapshot};
@@ -280,21 +280,22 @@ mod tests {
         // one infects exactly one agent).
         let proto = epidemic();
         let n = 64u64;
-        for (seed, leap) in [(3u64, false), (3, true), (17, false), (17, true)] {
+        for (seed, kernel) in [
+            (3u64, Kernel::Naive),
+            (3, Kernel::Leap),
+            (17, Kernel::Naive),
+            (17, Kernel::Leap),
+        ] {
             let reg = Registry::new();
             let mut obs = TelemetryObserver::in_registry(&reg);
             let mut pop = seeded_pop(&proto, n);
             let mut sched = UniformRandomScheduler::from_seed(seed);
-            let sim = Simulator::new(&proto);
-            let res = if leap {
-                sim.run_leap_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut obs)
-            } else {
-                sim.run_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut obs)
-            }
-            .unwrap();
+            let res = Simulator::new(&proto)
+                .run_kernel(kernel, &mut pop, &mut sched, &Silent, 10_000_000, &mut obs)
+                .unwrap();
             drop(obs); // flush via Drop
             let snap = Snapshot::capture(&reg);
-            let ctx = format!("seed {seed}, leap {leap}");
+            let ctx = format!("seed {seed}, {kernel}");
             assert_eq!(
                 snap.value("engine.interactions"),
                 Some(res.interactions),

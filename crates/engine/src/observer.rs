@@ -93,7 +93,7 @@ pub trait Observer {
         counts: &[u64],
     );
 
-    /// Called by the leap kernel ([`crate::simulator::Simulator::run_leap`])
+    /// Called by the leap kernel ([`crate::simulator::Kernel::Leap`])
     /// after it skips a maximal run of `skipped ≥ 1` consecutive identity
     /// interactions in closed form. `last_step` is the (1-based)
     /// interaction number of the last skipped identity, and `counts` is
@@ -109,10 +109,9 @@ pub trait Observer {
     #[inline(always)]
     fn on_identity_run(&mut self, _last_step: u64, _skipped: u64, _counts: &[u64]) {}
 
-    /// Called by the batch kernel
-    /// ([`crate::simulator::Simulator::run_batch`]) after applying one
-    /// tau-leap of `tau ≥ 1` scheduler interactions, of which `effective`
-    /// were state-changing rule firings. `last_step` is the (1-based)
+    /// Called by the batch kernel ([`crate::simulator::Kernel::Batch`])
+    /// after applying one tau-leap of `tau ≥ 1` scheduler interactions,
+    /// of which `effective` were state-changing rule firings. `last_step` is the (1-based)
     /// cumulative interaction number of the last interaction in the leap,
     /// and `counts` is the configuration *after* the whole leap.
     ///
@@ -361,6 +360,44 @@ impl Observer for TrajectorySampler {
             self.samples.push((t, counts.to_vec()));
             t += self.period;
         }
+    }
+}
+
+/// A borrowed observer observes: callers can lend theirs to a run that
+/// chains it with its own (as `pp_analysis::runner::run_trial` does with
+/// its telemetry).
+impl<O: Observer + ?Sized> Observer for &mut O {
+    #[inline(always)]
+    fn on_interaction(
+        &mut self,
+        step: u64,
+        p: StateId,
+        q: StateId,
+        p2: StateId,
+        q2: StateId,
+        counts: &[u64],
+    ) {
+        (**self).on_interaction(step, p, q, p2, q2, counts);
+    }
+
+    #[inline(always)]
+    fn on_identity_run(&mut self, last_step: u64, skipped: u64, counts: &[u64]) {
+        (**self).on_identity_run(last_step, skipped, counts);
+    }
+
+    #[inline(always)]
+    fn on_leap_batch(&mut self, last_step: u64, tau: u64, effective: u64, counts: &[u64]) {
+        (**self).on_leap_batch(last_step, tau, effective, counts);
+    }
+
+    #[inline(always)]
+    fn on_batch_fallback(&mut self, reason: FallbackReason) {
+        (**self).on_batch_fallback(reason);
+    }
+
+    #[inline(always)]
+    fn on_lifecycle(&mut self, step: u64, kind: LifecycleKind, state: StateId, counts: &[u64]) {
+        (**self).on_lifecycle(step, kind, state, counts);
     }
 }
 

@@ -11,29 +11,98 @@
 //! metric: the number of interactions performed strictly before the first
 //! stable configuration (a population that starts stable reports 0).
 //!
-//! Three kernels drive count-vector populations under the uniform random
-//! scheduler:
+//! [`Simulator::run_kernel`] is the one entry point for count-vector
+//! populations under the uniform random scheduler; it dispatches on a
+//! [`Kernel`]:
 //!
-//! * [`Simulator::run`] — the naive loop: one sampled pair per iteration.
-//! * [`Simulator::run_leap`] — the leap kernel: skips each maximal run of
-//!   identity interactions in closed form (see [`crate::leap`]), paying
-//!   per *effective* interaction instead of per interaction. Same
-//!   distribution over outcomes, orders of magnitude faster near
-//!   stabilisation where identity interactions dominate.
-//! * [`Simulator::run_batch`] — the tau-leap batch kernel: fires whole
-//!   batches of rule applications per step with bounded propensity drift
-//!   and exact-leap fallback near convergence (see [`crate::batch`]).
-//!   Bounded-error in the bulk, exact in the endgame; the giant-`n`
-//!   workhorse.
+//! * [`Kernel::Naive`] — one sampled pair per iteration
+//!   ([`Simulator::run_observed`], which also takes adversarial
+//!   [`PairScheduler`]s).
+//! * [`Kernel::Leap`] — skips each maximal run of identity interactions
+//!   in closed form (see [`crate::leap`]), paying per *effective*
+//!   interaction instead of per interaction. Same distribution over
+//!   outcomes, orders of magnitude faster near stabilisation where
+//!   identity interactions dominate.
+//! * [`Kernel::Batch`] — fires whole batches of rule applications per
+//!   step with bounded propensity drift and exact-leap fallback near
+//!   convergence (see [`crate::batch`];
+//!   [`Simulator::run_batch_configured`] takes a non-default
+//!   [`BatchConfig`]). Bounded-error in the bulk, exact in the endgame;
+//!   the giant-`n` workhorse.
+//!
+//! [`Simulator::run_agents_observed`] drives per-agent populations and
+//! [`Simulator::run_fixed`] a fixed number of steps with no criterion.
 
 use crate::batch::{BatchConfig, BatchCore, BatchTrial, Scratch, StepOutcome};
 use crate::leap::{sample_identity_run, IdentityWeights};
-use crate::observer::{NullObserver, Observer};
+use crate::observer::Observer;
 use crate::population::{AgentPopulation, CountPopulation, Population};
 use crate::protocol::CompiledProtocol;
 use crate::scheduler::{AgentScheduler, PairScheduler, UniformRandomScheduler};
 use crate::stability::StabilityCriterion;
 use std::fmt;
+
+/// A simulation kernel for count populations under the uniform random
+/// scheduler (see the module docs). The kernels agree in distribution
+/// but consume randomness differently, so one seed gives a different,
+/// equally valid run under each: the kernel is part of the identity of
+/// every stored result.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// The naive loop: one sampled pair per interaction.
+    Naive,
+    /// The leap kernel: identity runs skipped in closed form.
+    Leap,
+    /// The tau-leap batch kernel with exact-leap fallback.
+    Batch,
+}
+
+impl Kernel {
+    /// Every kernel.
+    pub const ALL: [Kernel; 3] = [Kernel::Naive, Kernel::Leap, Kernel::Batch];
+
+    /// Lower-case name: a `PP_KERNEL` value, the `kernel=` fragment of
+    /// `pp-sweep`'s content addresses, and the label in reports. Stored
+    /// results are keyed on these strings, so they must never change.
+    pub fn label(self) -> &'static str {
+        match self {
+            Kernel::Naive => "naive",
+            Kernel::Leap => "leap",
+            Kernel::Batch => "batch",
+        }
+    }
+
+    /// The kernel whose [`Kernel::label`] is exactly `s`.
+    pub fn parse(s: &str) -> Option<Kernel> {
+        Kernel::ALL.into_iter().find(|k| k.label() == s)
+    }
+
+    /// A kernel knob value, read case-insensitively: `Ok(None)` for
+    /// `auto`, `Err(value)` when it names no kernel. What `auto` and
+    /// unknown values mean is up to the caller.
+    pub fn parse_knob(value: &str) -> Result<Option<Kernel>, String> {
+        let lower = value.to_ascii_lowercase();
+        match lower.as_str() {
+            "auto" => Ok(None),
+            s => Kernel::parse(s).map(Some).ok_or(lower),
+        }
+    }
+
+    /// The `PP_KERNEL` environment knob through [`Kernel::parse_knob`];
+    /// unset or empty reads as `auto`. The only reader of `PP_KERNEL`.
+    pub fn from_env() -> Result<Option<Kernel>, String> {
+        match std::env::var("PP_KERNEL") {
+            Ok(v) if !v.is_empty() => Kernel::parse_knob(&v),
+            _ => Ok(None),
+        }
+    }
+}
+
+impl fmt::Display for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
 
 /// Outcome of a completed (stabilised) run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,28 +160,6 @@ impl<'a> Simulator<'a> {
         self.proto
     }
 
-    /// Run a count-vector population until `criterion` reports stability,
-    /// without observation.
-    pub fn run<S, C>(
-        &self,
-        pop: &mut CountPopulation,
-        scheduler: &mut S,
-        criterion: &C,
-        max_interactions: u64,
-    ) -> Result<RunResult, RunError>
-    where
-        S: PairScheduler,
-        C: StabilityCriterion,
-    {
-        self.run_observed(
-            pop,
-            scheduler,
-            criterion,
-            max_interactions,
-            &mut NullObserver,
-        )
-    }
-
     /// Run a count-vector population until stability, reporting every
     /// interaction to `observer`.
     pub fn run_observed<S, C, O>(
@@ -162,57 +209,63 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// Run a count-vector population until stability with the **leap
-    /// kernel**, without observation. Same contract as [`Simulator::run`];
-    /// see [`Simulator::run_leap_observed`] for semantics.
-    pub fn run_leap<C>(
+    /// Run a count-vector population until `criterion` reports stability
+    /// on `kernel`, reporting interactions to `observer`. Every kernel has
+    /// the `RunResult`/`RunError` contract of [`Simulator::run_observed`]
+    /// (the naive kernel), and the returned statistics follow the same
+    /// distribution (the kernels consume randomness differently, so
+    /// individual runs differ for a given seed — equality is in law, not
+    /// bit-for-bit; the batch kernel's up to its bounded tau-leap error).
+    ///
+    /// The **leap kernel** samples each maximal run of consecutive
+    /// identity interactions in closed form (geometric in the
+    /// identity-pair probability, see [`crate::leap`]) and credits it to
+    /// the interaction counter in O(1), then samples one *effective* pair
+    /// from the exact conditional distribution and applies it. Observers
+    /// see every effective interaction via [`Observer::on_interaction`]
+    /// with its true cumulative interaction number, and each skipped
+    /// identity run via [`Observer::on_identity_run`]; per-identity
+    /// callbacks do not happen, but because counts are constant across a
+    /// run, observers can derive any per-step quantity inside it in closed
+    /// form (as [`crate::observer::TrajectorySampler`] does for its period
+    /// boundaries). On the [`RunError::InteractionLimit`] path the
+    /// trailing identity run that overflows the budget is not reported.
+    /// Stability is consulted through the criterion's incremental
+    /// [`crate::stability::StabilityTracker`], fed the same ±1 count
+    /// deltas the population applies.
+    ///
+    /// The **batch kernel** runs with the default [`BatchConfig`]; see
+    /// [`Simulator::run_batch_configured`] for its semantics.
+    ///
+    /// The scheduler is the concrete [`UniformRandomScheduler`] because
+    /// the leap and batch kernels rely on algebraic properties of
+    /// precisely that scheduler.
+    pub fn run_kernel<C, O>(
         &self,
+        kernel: Kernel,
         pop: &mut CountPopulation,
         scheduler: &mut UniformRandomScheduler,
         criterion: &C,
         max_interactions: u64,
+        observer: &mut O,
     ) -> Result<RunResult, RunError>
     where
         C: StabilityCriterion,
+        O: Observer,
     {
-        self.run_leap_observed(
-            pop,
-            scheduler,
-            criterion,
-            max_interactions,
-            &mut NullObserver,
-        )
+        match kernel {
+            Kernel::Naive => {
+                self.run_observed(pop, scheduler, criterion, max_interactions, observer)
+            }
+            Kernel::Leap => self.run_leap(pop, scheduler, criterion, max_interactions, observer),
+            Kernel::Batch => {
+                self.run_batch_observed(pop, scheduler, criterion, max_interactions, observer)
+            }
+        }
     }
 
-    /// Run a count-vector population until stability with the **leap
-    /// kernel**: each maximal run of consecutive identity interactions is
-    /// sampled in closed form (geometric in the identity-pair probability,
-    /// see [`crate::leap`]) and credited to the interaction counter in
-    /// O(1), then one *effective* pair is sampled from the exact
-    /// conditional distribution and applied.
-    ///
-    /// Identical `RunResult`/`RunError` contract to
-    /// [`Simulator::run_observed`], and the returned statistics follow the
-    /// same distribution (the kernels consume randomness differently, so
-    /// individual runs differ for a given seed — equality is in law, not
-    /// bit-for-bit). The scheduler parameter is the concrete
-    /// [`UniformRandomScheduler`] because the geometric skip is an algebraic
-    /// property of precisely that scheduler.
-    ///
-    /// Observers see every effective interaction via
-    /// [`Observer::on_interaction`] with its true cumulative interaction
-    /// number, and each skipped identity run via
-    /// [`Observer::on_identity_run`]; per-identity callbacks do not happen,
-    /// but because counts are constant across a run, observers can derive
-    /// any per-step quantity inside it in closed form (as
-    /// [`crate::observer::TrajectorySampler`] does for its period
-    /// boundaries). On the [`RunError::InteractionLimit`] path the
-    /// trailing identity run that overflows the budget is not reported.
-    ///
-    /// Stability is consulted through the criterion's incremental
-    /// [`crate::stability::StabilityTracker`], fed the same ±1 count deltas
-    /// the population applies.
-    pub fn run_leap_observed<C, O>(
+    /// The leap kernel's body; see [`Simulator::run_kernel`].
+    fn run_leap<C, O>(
         &self,
         pop: &mut CountPopulation,
         scheduler: &mut UniformRandomScheduler,
@@ -282,30 +335,6 @@ impl<'a> Simulator<'a> {
     }
 
     /// Run a count-vector population until stability with the **batch
-    /// kernel** and its default [`BatchConfig`], without observation. Same
-    /// contract as [`Simulator::run`]; see
-    /// [`Simulator::run_batch_configured`] for semantics.
-    pub fn run_batch<C>(
-        &self,
-        pop: &mut CountPopulation,
-        scheduler: &mut UniformRandomScheduler,
-        criterion: &C,
-        max_interactions: u64,
-    ) -> Result<RunResult, RunError>
-    where
-        C: StabilityCriterion,
-    {
-        self.run_batch_configured(
-            pop,
-            scheduler,
-            criterion,
-            max_interactions,
-            &BatchConfig::default(),
-            &mut NullObserver,
-        )
-    }
-
-    /// Run a count-vector population until stability with the **batch
     /// kernel** and its default [`BatchConfig`], reporting leaps and
     /// interactions to `observer`.
     pub fn run_batch_observed<C, O>(
@@ -339,11 +368,11 @@ impl<'a> Simulator<'a> {
     /// fallback policy).
     ///
     /// Identical `RunResult`/`RunError` contract to
-    /// [`Simulator::run_leap_observed`]. Statistics follow the leap
-    /// kernel's law up to the tau-leap approximation (bounded propensity
-    /// drift of O(ε) per leap); with `cfg.safety_threshold ≥ n` every
-    /// step falls back and the run is **bit-identical** to
-    /// [`Simulator::run_leap_observed`] for the same seed.
+    /// [`Simulator::run_kernel`]. Statistics follow the leap kernel's law
+    /// up to the tau-leap approximation (bounded propensity drift of O(ε)
+    /// per leap); with `cfg.safety_threshold ≥ n` every step falls back
+    /// and the run is **bit-identical** to the leap kernel for the same
+    /// seed.
     ///
     /// Observers see exact-fallback stretches through
     /// [`Observer::on_interaction`] / [`Observer::on_identity_run`]
@@ -456,27 +485,6 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// Run a per-agent population without observation.
-    pub fn run_agents<S, C>(
-        &self,
-        pop: &mut AgentPopulation,
-        scheduler: &mut S,
-        criterion: &C,
-        max_interactions: u64,
-    ) -> Result<RunResult, RunError>
-    where
-        S: AgentScheduler,
-        C: StabilityCriterion,
-    {
-        self.run_agents_observed(
-            pop,
-            scheduler,
-            criterion,
-            max_interactions,
-            &mut NullObserver,
-        )
-    }
-
     /// Perform exactly `steps` interactions on a count population,
     /// reporting each (identity or not) to `observer` exactly as
     /// [`Simulator::run_observed`] would — but with **no stability
@@ -528,6 +536,7 @@ pub struct FixedRunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::NullObserver;
     use crate::scheduler::UniformRandomScheduler;
     use crate::spec::ProtocolSpec;
     use crate::stability::{Never, Silent};
@@ -546,31 +555,68 @@ mod tests {
         let p = epidemic();
         let s = p.state_by_name("S").unwrap();
         let i = p.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&p, 64);
-        pop.set_count(s, 63);
-        pop.set_count(i, 1);
-        let mut sched = UniformRandomScheduler::from_seed(11);
-        let res = Simulator::new(&p)
-            .run(&mut pop, &mut sched, &Silent, 10_000_000)
-            .unwrap();
-        assert_eq!(pop.count(i), 64);
-        // Coupon-collector-like: needs at least n - 1 infections.
-        assert!(res.effective_interactions == 63);
-        assert!(res.interactions >= 63);
+        // n = 4096 is large enough for the batch kernel to take leaps.
+        for (kernel, n) in [
+            (Kernel::Naive, 64),
+            (Kernel::Leap, 64),
+            (Kernel::Batch, 4096),
+        ] {
+            let mut pop = CountPopulation::new(&p, n);
+            pop.set_count(s, n - 1);
+            pop.set_count(i, 1);
+            let mut sched = UniformRandomScheduler::from_seed(11);
+            let res = Simulator::new(&p)
+                .run_kernel(
+                    kernel,
+                    &mut pop,
+                    &mut sched,
+                    &Silent,
+                    u64::MAX,
+                    &mut NullObserver,
+                )
+                .unwrap();
+            assert_eq!(pop.count(i), n, "{kernel}");
+            // Effective interactions are exactly the n − 1 infections on
+            // every path, whether fired one by one or in bulk.
+            assert_eq!(res.effective_interactions, n - 1, "{kernel}");
+            assert!(res.interactions >= n - 1, "{kernel}");
+        }
+    }
+
+    #[test]
+    fn kernel_labels_round_trip() {
+        for k in Kernel::ALL {
+            assert_eq!(Kernel::parse(k.label()), Some(k));
+            assert_eq!(k.to_string(), k.label());
+        }
+        assert_eq!(Kernel::parse("auto"), None);
+        assert_eq!(Kernel::parse("Leap"), None);
+        assert_eq!(Kernel::parse_knob("Leap"), Ok(Some(Kernel::Leap)));
+        assert_eq!(Kernel::parse_knob("AUTO"), Ok(None));
+        assert_eq!(Kernel::parse_knob("fast"), Err("fast".to_string()));
     }
 
     #[test]
     fn already_stable_returns_zero() {
         let p = epidemic();
         let i = p.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&p, 5);
-        pop.set_count(p.initial_state(), 0);
-        pop.set_count(i, 5);
-        let mut sched = UniformRandomScheduler::from_seed(0);
-        let res = Simulator::new(&p)
-            .run(&mut pop, &mut sched, &Silent, 100)
-            .unwrap();
-        assert_eq!(res.interactions, 0);
+        for kernel in Kernel::ALL {
+            let mut pop = CountPopulation::new(&p, 5);
+            pop.set_count(p.initial_state(), 0);
+            pop.set_count(i, 5);
+            let mut sched = UniformRandomScheduler::from_seed(0);
+            let res = Simulator::new(&p)
+                .run_kernel(
+                    kernel,
+                    &mut pop,
+                    &mut sched,
+                    &Silent,
+                    100,
+                    &mut NullObserver,
+                )
+                .unwrap();
+            assert_eq!(res.interactions, 0, "{kernel}");
+        }
     }
 
     #[test]
@@ -578,28 +624,34 @@ mod tests {
         let p = epidemic();
         let s = p.state_by_name("S").unwrap();
         let i = p.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&p, 1000);
-        pop.set_count(s, 999);
-        pop.set_count(i, 1);
-        let mut sched = UniformRandomScheduler::from_seed(2);
-        let err = Simulator::new(&p)
-            .run(&mut pop, &mut sched, &Silent, 5)
-            .unwrap_err();
-        assert_eq!(err, RunError::InteractionLimit { limit: 5 });
+        for kernel in Kernel::ALL {
+            let mut pop = CountPopulation::new(&p, 1000);
+            pop.set_count(s, 999);
+            pop.set_count(i, 1);
+            let mut sched = UniformRandomScheduler::from_seed(2);
+            // At n = 1000, stabilising takes ≫ 5 interactions (999
+            // infections).
+            let err = Simulator::new(&p)
+                .run_kernel(kernel, &mut pop, &mut sched, &Silent, 5, &mut NullObserver)
+                .unwrap_err();
+            assert_eq!(err, RunError::InteractionLimit { limit: 5 }, "{kernel}");
+        }
     }
 
     #[test]
     fn too_small_population_errors() {
         let p = epidemic();
-        let mut pop = CountPopulation::new(&p, 1);
-        let mut sched = UniformRandomScheduler::from_seed(2);
-        // A single agent can never interact; with a never-satisfied
-        // criterion the simulator must report the population as too small
-        // rather than spinning.
-        let err = Simulator::new(&p)
-            .run(&mut pop, &mut sched, &Never, 5)
-            .unwrap_err();
-        assert_eq!(err, RunError::PopulationTooSmall);
+        for kernel in Kernel::ALL {
+            let mut pop = CountPopulation::new(&p, 1);
+            let mut sched = UniformRandomScheduler::from_seed(2);
+            // A single agent can never interact; with a never-satisfied
+            // criterion the simulator must report the population as too
+            // small rather than spinning.
+            let err = Simulator::new(&p)
+                .run_kernel(kernel, &mut pop, &mut sched, &Never, 5, &mut NullObserver)
+                .unwrap_err();
+            assert_eq!(err, RunError::PopulationTooSmall, "{kernel}");
+        }
     }
 
     #[test]
@@ -616,14 +668,14 @@ mod tests {
             cpop.set_count(i, 1);
             let mut sched = UniformRandomScheduler::from_seed(seed);
             Simulator::new(&p)
-                .run(&mut cpop, &mut sched, &Silent, 1_000_000)
+                .run_observed(&mut cpop, &mut sched, &Silent, 1_000_000, &mut NullObserver)
                 .unwrap();
 
             let mut apop = AgentPopulation::new(&p, 30);
             apop.set_state(0, i);
             let mut sched = UniformRandomScheduler::from_seed(seed);
             Simulator::new(&p)
-                .run_agents(&mut apop, &mut sched, &Silent, 1_000_000)
+                .run_agents_observed(&mut apop, &mut sched, &Silent, 1_000_000, &mut NullObserver)
                 .unwrap();
 
             assert_eq!(cpop.count(i), 30);
@@ -665,7 +717,7 @@ mod tests {
         let mut pop = CountPopulation::new(&p, 10);
         let mut sched = UniformRandomScheduler::from_seed(4);
         let err = Simulator::new(&p)
-            .run(&mut pop, &mut sched, &Never, 50)
+            .run_observed(&mut pop, &mut sched, &Never, 50, &mut NullObserver)
             .unwrap_err();
         assert_eq!(err, RunError::InteractionLimit { limit: 50 });
     }
@@ -688,79 +740,34 @@ mod tests {
     }
 
     #[test]
-    fn leap_epidemic_stabilises_everyone_infected() {
-        let p = epidemic();
-        let s = p.state_by_name("S").unwrap();
-        let i = p.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&p, 64);
-        pop.set_count(s, 63);
-        pop.set_count(i, 1);
-        let mut sched = UniformRandomScheduler::from_seed(11);
-        let res = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Silent, 10_000_000)
-            .unwrap();
-        assert_eq!(pop.count(i), 64);
-        assert_eq!(res.effective_interactions, 63);
-        assert!(res.interactions >= 63);
-    }
-
-    #[test]
-    fn leap_already_stable_returns_zero() {
-        let p = epidemic();
-        let i = p.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&p, 5);
-        pop.set_count(p.initial_state(), 0);
-        pop.set_count(i, 5);
-        let mut sched = UniformRandomScheduler::from_seed(0);
-        let res = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Silent, 100)
-            .unwrap();
-        assert_eq!(res.interactions, 0);
-    }
-
-    #[test]
-    fn leap_limit_is_reported() {
-        let p = epidemic();
-        let s = p.state_by_name("S").unwrap();
-        let i = p.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&p, 1000);
-        pop.set_count(s, 999);
-        pop.set_count(i, 1);
-        let mut sched = UniformRandomScheduler::from_seed(2);
-        // At n = 1000, stabilising takes ≫ 5 interactions (999 infections).
-        let err = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Silent, 5)
-            .unwrap_err();
-        assert_eq!(err, RunError::InteractionLimit { limit: 5 });
-    }
-
-    #[test]
-    fn leap_too_small_population_errors() {
-        let p = epidemic();
-        let mut pop = CountPopulation::new(&p, 1);
-        let mut sched = UniformRandomScheduler::from_seed(2);
-        let err = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Never, 5)
-            .unwrap_err();
-        assert_eq!(err, RunError::PopulationTooSmall);
-    }
-
-    #[test]
-    fn leap_all_identity_configuration_hits_limit_immediately() {
+    fn all_identity_configuration_hits_limit_immediately() {
         // All agents infected and criterion Never: every enabled pair is
         // an identity, so the configuration can never change. The naive
-        // loop spins to the limit; the leap kernel reports the limit
-        // without spinning.
+        // loop spins to the limit; the leap and batch kernels report the
+        // limit without spinning.
         let p = epidemic();
         let i = p.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&p, 50);
-        pop.set_count(p.initial_state(), 0);
-        pop.set_count(i, 50);
-        let mut sched = UniformRandomScheduler::from_seed(3);
-        let err = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Never, u64::MAX)
-            .unwrap_err();
-        assert_eq!(err, RunError::InteractionLimit { limit: u64::MAX });
+        for kernel in [Kernel::Leap, Kernel::Batch] {
+            let mut pop = CountPopulation::new(&p, 50);
+            pop.set_count(p.initial_state(), 0);
+            pop.set_count(i, 50);
+            let mut sched = UniformRandomScheduler::from_seed(3);
+            let err = Simulator::new(&p)
+                .run_kernel(
+                    kernel,
+                    &mut pop,
+                    &mut sched,
+                    &Never,
+                    u64::MAX,
+                    &mut NullObserver,
+                )
+                .unwrap_err();
+            assert_eq!(
+                err,
+                RunError::InteractionLimit { limit: u64::MAX },
+                "{kernel}"
+            );
+        }
     }
 
     #[test]
@@ -807,7 +814,14 @@ mod tests {
             identities_seen: 0,
         };
         let res = Simulator::new(&p)
-            .run_leap_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut obs)
+            .run_kernel(
+                Kernel::Leap,
+                &mut pop,
+                &mut sched,
+                &Silent,
+                10_000_000,
+                &mut obs,
+            )
             .unwrap();
         assert_eq!(obs.effective_seen, res.effective_interactions);
         assert_eq!(
@@ -830,7 +844,7 @@ mod tests {
         let i = p.state_by_name("I").unwrap();
         let n = 24u64;
         let trials = 200u64;
-        let run_batch = |leap: bool| -> Vec<f64> {
+        let sample = |leap: bool| -> Vec<f64> {
             (0..trials)
                 .map(|t| {
                     let mut pop = CountPopulation::new(&p, n);
@@ -838,18 +852,23 @@ mod tests {
                     pop.set_count(i, 1);
                     let mut sched =
                         UniformRandomScheduler::from_seed(1000 + t + u64::from(leap) * 7919);
-                    let sim = Simulator::new(&p);
-                    let res = if leap {
-                        sim.run_leap(&mut pop, &mut sched, &Silent, u64::MAX)
-                    } else {
-                        sim.run(&mut pop, &mut sched, &Silent, u64::MAX)
-                    };
-                    res.unwrap().interactions as f64
+                    let kernel = if leap { Kernel::Leap } else { Kernel::Naive };
+                    Simulator::new(&p)
+                        .run_kernel(
+                            kernel,
+                            &mut pop,
+                            &mut sched,
+                            &Silent,
+                            u64::MAX,
+                            &mut NullObserver,
+                        )
+                        .unwrap()
+                        .interactions as f64
                 })
                 .collect()
         };
-        let naive = run_batch(false);
-        let leap = run_batch(true);
+        let naive = sample(false);
+        let leap = sample(true);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let var = |v: &[f64], m: f64| {
             v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64

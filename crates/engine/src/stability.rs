@@ -58,7 +58,7 @@ pub trait StabilityCriterion {
 
     /// An incremental checker for this criterion, initialised at `counts`.
     ///
-    /// The leap kernel ([`crate::simulator::Simulator::run_leap`]) drives
+    /// The leap kernel ([`crate::simulator::Kernel::Leap`]) drives
     /// the returned [`StabilityTracker`] with the ±1 count deltas of every
     /// applied transition, so criteria that can fold deltas (notably
     /// [`Signature`]) answer stability in O(1) per interaction instead of
@@ -96,7 +96,7 @@ pub trait StabilityTracker {
     /// A cheap *distance-to-stability* hint: how many independently
     /// tracked constraints are currently violated, if the tracker knows.
     ///
-    /// The batch kernel ([`crate::simulator::Simulator::run_batch`]) uses
+    /// The batch kernel ([`crate::simulator::Kernel::Batch`]) uses
     /// this to hand control back to the exact leap kernel when the
     /// configuration is close to stable, so terminal behaviour is never
     /// approximated. `None` (the default) means the tracker cannot

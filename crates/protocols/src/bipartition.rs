@@ -153,6 +153,7 @@ impl AsymmetricBipartition {
 mod tests {
     use super::*;
     use crate::kpartition::UniformKPartition;
+    use pp_engine::observer::NullObserver;
     use pp_engine::population::{CountPopulation, Population};
     use pp_engine::scheduler::UniformRandomScheduler;
     use pp_engine::simulator::Simulator;
@@ -193,7 +194,7 @@ mod tests {
             let mut sched = UniformRandomScheduler::from_seed(n);
             let sig = bi.stable_signature(n);
             Simulator::new(&p)
-                .run(&mut pop, &mut sched, &sig, 100_000_000)
+                .run_observed(&mut pop, &mut sched, &sig, 100_000_000, &mut NullObserver)
                 .unwrap();
             assert_eq!(pop.group_sizes(&p), bi.expected_group_sizes(n), "n = {n}");
         }
@@ -209,7 +210,13 @@ mod tests {
             let mut pop = CountPopulation::new(&p, n);
             let mut sched = UniformRandomScheduler::from_seed(n);
             Simulator::new(&p)
-                .run(&mut pop, &mut sched, &ab.stable_signature(n), 10_000_000)
+                .run_observed(
+                    &mut pop,
+                    &mut sched,
+                    &ab.stable_signature(n),
+                    10_000_000,
+                    &mut NullObserver,
+                )
                 .unwrap();
             assert_eq!(pop.group_sizes(&p), ab.expected_group_sizes(n), "n = {n}");
         }
@@ -224,7 +231,13 @@ mod tests {
         let mut pop = CountPopulation::new(&p, 2);
         let mut sched = UniformRandomScheduler::from_seed(1);
         let res = Simulator::new(&p)
-            .run(&mut pop, &mut sched, &ab.stable_signature(2), 1000)
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &ab.stable_signature(2),
+                1000,
+                &mut NullObserver,
+            )
             .unwrap();
         assert_eq!(res.interactions, 1);
         assert_eq!(pop.group_sizes(&p), vec![1, 1]);
@@ -239,7 +252,8 @@ mod tests {
         let mut pop = CountPopulation::new(&p, 2);
         let mut sched = UniformRandomScheduler::from_seed(5);
         let sig = bi.stable_signature(2);
-        let res = Simulator::new(&p).run(&mut pop, &mut sched, &sig, 10_000);
+        let res =
+            Simulator::new(&p).run_observed(&mut pop, &mut sched, &sig, 10_000, &mut NullObserver);
         assert!(res.is_err());
         // Still flipping in lockstep: both agents share one state.
         let counts = pop.counts();

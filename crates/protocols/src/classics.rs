@@ -77,6 +77,7 @@ pub fn approximate_majority() -> (CompiledProtocol, MajorityStates) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_engine::observer::NullObserver;
     use pp_engine::population::{CountPopulation, Population};
     use pp_engine::scheduler::UniformRandomScheduler;
     use pp_engine::simulator::Simulator;
@@ -92,7 +93,7 @@ mod tests {
         pop.set_count(i, 1);
         let mut sched = UniformRandomScheduler::from_seed(1);
         Simulator::new(&p)
-            .run(&mut pop, &mut sched, &Silent, 1_000_000)
+            .run_observed(&mut pop, &mut sched, &Silent, 1_000_000, &mut NullObserver)
             .unwrap();
         assert_eq!(pop.count(i), 40);
     }
@@ -105,7 +106,7 @@ mod tests {
         let mut pop = CountPopulation::new(&p, 100);
         let mut sched = UniformRandomScheduler::from_seed(2);
         Simulator::new(&p)
-            .run(&mut pop, &mut sched, &Silent, 10_000_000)
+            .run_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut NullObserver)
             .unwrap();
         assert_eq!(pop.count(l), 1);
     }
@@ -121,7 +122,13 @@ mod tests {
             pop.set_count(st.y, 100);
             let mut sched = UniformRandomScheduler::from_seed(seed);
             Simulator::new(&p)
-                .run(&mut pop, &mut sched, &Silent, 100_000_000)
+                .run_observed(
+                    &mut pop,
+                    &mut sched,
+                    &Silent,
+                    100_000_000,
+                    &mut NullObserver,
+                )
                 .unwrap();
             // Consensus: only one opinion remains (blanks absorbed).
             let x = pop.count(st.x);
@@ -144,7 +151,13 @@ mod tests {
         pop.set_count(st.y, 1);
         let mut sched = UniformRandomScheduler::from_seed(77);
         Simulator::new(&p)
-            .run(&mut pop, &mut sched, &Silent, 100_000_000)
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &Silent,
+                100_000_000,
+                &mut NullObserver,
+            )
             .unwrap();
         assert!(pop.count(st.x) == 100 || pop.count(st.y) == 100);
     }

@@ -288,6 +288,7 @@ impl StabilityCriterion for HierarchicalStable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_engine::observer::NullObserver;
     use pp_engine::population::{CountPopulation, Population};
     use pp_engine::scheduler::UniformRandomScheduler;
     use pp_engine::simulator::Simulator;
@@ -333,7 +334,13 @@ mod tests {
         let mut pop = CountPopulation::new(&p, 10);
         let mut sched = UniformRandomScheduler::from_seed(3);
         Simulator::new(&p)
-            .run(&mut pop, &mut sched, &hp.stability(), 10_000_000)
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &hp.stability(),
+                10_000_000,
+                &mut NullObserver,
+            )
             .unwrap();
         assert_eq!(pop.group_sizes(&p), vec![5, 5]);
     }
@@ -350,7 +357,13 @@ mod tests {
                 let mut pop = CountPopulation::new(&p, n);
                 let mut sched = UniformRandomScheduler::from_seed(seed);
                 Simulator::new(&p)
-                    .run(&mut pop, &mut sched, &hp.stability(), 1_000_000_000)
+                    .run_observed(
+                        &mut pop,
+                        &mut sched,
+                        &hp.stability(),
+                        1_000_000_000,
+                        &mut NullObserver,
+                    )
                     .unwrap();
                 assert_eq!(
                     pop.group_sizes(&p),
@@ -374,7 +387,13 @@ mod tests {
             let mut pop = CountPopulation::new(&p, n);
             let mut sched = UniformRandomScheduler::from_seed(seed);
             Simulator::new(&p)
-                .run(&mut pop, &mut sched, &hp.stability(), 100_000_000)
+                .run_observed(
+                    &mut pop,
+                    &mut sched,
+                    &hp.stability(),
+                    100_000_000,
+                    &mut NullObserver,
+                )
                 .unwrap();
             let sizes = pop.group_sizes(&p);
             assert_eq!(sizes.iter().sum::<u64>(), n);
@@ -402,7 +421,13 @@ mod tests {
         let mut pop = CountPopulation::new(&p, n);
         let mut sched = UniformRandomScheduler::from_seed(11);
         Simulator::new(&p)
-            .run(&mut pop, &mut sched, &hp.stability(), 1_000_000_000)
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &hp.stability(),
+                1_000_000_000,
+                &mut NullObserver,
+            )
             .unwrap();
         let sizes = pop.group_sizes(&p);
         assert_eq!(sizes.iter().sum::<u64>(), n);

@@ -124,6 +124,7 @@ impl BasicStrategyKPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_engine::observer::NullObserver;
     use pp_engine::population::{CountPopulation, Population};
     use pp_engine::scheduler::{GreedyPriorityScheduler, UniformRandomScheduler};
     use pp_engine::simulator::Simulator;
@@ -171,7 +172,13 @@ mod tests {
             },
             1,
         );
-        let res = Simulator::new(&p).run(&mut pop, &mut sched, &Silent, 10_000);
+        let res = Simulator::new(&p).run_observed(
+            &mut pop,
+            &mut sched,
+            &Silent,
+            10_000,
+            &mut NullObserver,
+        );
         assert!(res.is_ok(), "greedy schedule should reach a silent sink");
         assert!(bp.is_deadlocked(pop.counts()));
         assert_eq!(pop.count(bp.g(1)), 4);
@@ -197,7 +204,13 @@ mod tests {
             let mut pop = CountPopulation::new(&p, 12);
             let mut sched = UniformRandomScheduler::from_seed(seed);
             Simulator::new(&p)
-                .run(&mut pop, &mut sched, &Silent, 100_000_000)
+                .run_observed(
+                    &mut pop,
+                    &mut sched,
+                    &Silent,
+                    100_000_000,
+                    &mut NullObserver,
+                )
                 .expect("basic strategy always reaches a silent configuration");
             if bp.is_deadlocked(pop.counts()) {
                 deadlocks += 1;

@@ -69,6 +69,7 @@ use pp_engine::stability::Signature;
 /// protocol the engine runs.
 ///
 /// ```
+/// use pp_engine::observer::NullObserver;
 /// use pp_engine::population::{CountPopulation, Population};
 /// use pp_engine::scheduler::UniformRandomScheduler;
 /// use pp_engine::simulator::Simulator;
@@ -81,7 +82,7 @@ use pp_engine::stability::Signature;
 /// let mut pop = CountPopulation::new(&proto, 17);
 /// let mut sched = UniformRandomScheduler::from_seed(1);
 /// Simulator::new(&proto)
-///     .run(&mut pop, &mut sched, &kp.stable_signature(17), 1_000_000)
+///     .run_observed(&mut pop, &mut sched, &kp.stable_signature(17), 1_000_000, &mut NullObserver)
 ///     .unwrap();
 /// // 17 = 3·5 + 2: groups of 6, 6, 5.
 /// assert_eq!(pop.group_sizes(&proto), vec![6, 6, 5]);
@@ -386,6 +387,7 @@ impl UniformKPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_engine::observer::NullObserver;
     use pp_engine::population::{CountPopulation, Population};
     use pp_engine::scheduler::UniformRandomScheduler;
     use pp_engine::simulator::Simulator;
@@ -570,7 +572,13 @@ mod tests {
                         UniformRandomScheduler::from_seed((k as u64) << 32 | n << 8 | seed);
                     let sig = kp.stable_signature(n);
                     let res = Simulator::new(&p)
-                        .run(&mut pop, &mut sched, &sig, kp.interaction_budget(n))
+                        .run_observed(
+                            &mut pop,
+                            &mut sched,
+                            &sig,
+                            kp.interaction_budget(n),
+                            &mut NullObserver,
+                        )
                         .unwrap();
                     assert!(res.interactions > 0);
                     assert_eq!(
@@ -595,7 +603,13 @@ mod tests {
             let mut sched = UniformRandomScheduler::from_seed(99);
             let sig = kp.stable_signature(n);
             Simulator::new(&p)
-                .run(&mut pop, &mut sched, &sig, kp.interaction_budget(n))
+                .run_observed(
+                    &mut pop,
+                    &mut sched,
+                    &sig,
+                    kp.interaction_budget(n),
+                    &mut NullObserver,
+                )
                 .unwrap();
             assert!(
                 GroupClosure::default().is_stable(&p, pop.counts()),
@@ -615,11 +629,12 @@ mod tests {
             let mut pop = CountPopulation::new(&p, n);
             let mut sched = UniformRandomScheduler::from_seed(7);
             Simulator::new(&p)
-                .run(
+                .run_observed(
                     &mut pop,
                     &mut sched,
                     &GroupClosure::default(),
                     kp.interaction_budget(n),
+                    &mut NullObserver,
                 )
                 .unwrap();
             assert!(

@@ -115,6 +115,7 @@ impl OneSidedAbortKPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_engine::observer::NullObserver;
     use pp_engine::population::{CountPopulation, Population};
     use pp_engine::scheduler::UniformRandomScheduler;
     use pp_engine::simulator::Simulator;
@@ -149,11 +150,12 @@ mod tests {
                 let mut pop = CountPopulation::new(&p, n);
                 let mut sched = UniformRandomScheduler::from_seed(seed);
                 Simulator::new(&p)
-                    .run(
+                    .run_observed(
                         &mut pop,
                         &mut sched,
                         &v.stable_signature(n),
                         v.base().interaction_budget(n),
+                        &mut NullObserver,
                     )
                     .unwrap_or_else(|e| panic!("k={k} n={n} seed={seed}: {e}"));
                 assert_eq!(

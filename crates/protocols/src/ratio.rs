@@ -152,6 +152,7 @@ impl RatioPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_engine::observer::NullObserver;
     use pp_engine::population::{CountPopulation, Population};
     use pp_engine::scheduler::UniformRandomScheduler;
     use pp_engine::simulator::Simulator;
@@ -186,11 +187,12 @@ mod tests {
         let mut sched = UniformRandomScheduler::from_seed(21);
         let sig = rp.stable_signature(18);
         Simulator::new(&p)
-            .run(
+            .run_observed(
                 &mut pop,
                 &mut sched,
                 &sig,
                 rp.slots().interaction_budget(18),
+                &mut NullObserver,
             )
             .unwrap();
         assert_eq!(pop.group_sizes(&p), vec![6, 12]);
@@ -206,7 +208,13 @@ mod tests {
         let mut sched = UniformRandomScheduler::from_seed(8);
         let sig = rp.stable_signature(n);
         Simulator::new(&p)
-            .run(&mut pop, &mut sched, &sig, rp.slots().interaction_budget(n))
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &sig,
+                rp.slots().interaction_budget(n),
+                &mut NullObserver,
+            )
             .unwrap();
         let sizes = pop.group_sizes(&p);
         assert_eq!(sizes.iter().sum::<u64>(), n);

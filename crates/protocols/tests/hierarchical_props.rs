@@ -1,6 +1,7 @@
 //! Property tests for the recursive-bipartition protocols: the subtree
 //! balance invariant, state-count identities, and fold coverage.
 
+use pp_engine::observer::NullObserver;
 use pp_engine::population::{CountPopulation, Population};
 use pp_engine::protocol::StateId;
 use pp_engine::scheduler::UniformRandomScheduler;
@@ -138,10 +139,11 @@ proptest! {
         let mut sched = UniformRandomScheduler::from_seed(seed);
         let crit = hp.stability();
         let res = Simulator::new(&proto)
-            .run(&mut pop, &mut sched, &crit, 100_000_000);
+            .run_observed(&mut pop, &mut sched, &crit, 100_000_000, &mut NullObserver);
         prop_assert!(res.is_ok());
         // Keep going: stability must persist.
-        let _ = Simulator::new(&proto).run(&mut pop, &mut sched, &Never, 2000);
+        let _ = Simulator::new(&proto)
+            .run_observed(&mut pop, &mut sched, &Never, 2000, &mut NullObserver);
         prop_assert!(crit.is_stable(&proto, pop.counts()));
         prop_assert_eq!(pop.counts().iter().sum::<u64>(), n);
     }

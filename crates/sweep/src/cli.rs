@@ -533,17 +533,6 @@ fn unknown_plan(name: &str, cfg: PlanConfig) -> i32 {
     2
 }
 
-/// Entry point for the legacy thin-wrapper binaries (`fig3`, `baselines`,
-/// …): run the named plan with live progress, print its banner + report —
-/// the same console contract the old standalone binaries had, now
-/// cache-aware and resumable.
-pub fn delegate(plan_name: &str) {
-    let code = main_with_args(&["run".to_string(), plan_name.to_string()]);
-    if code != 0 {
-        std::process::exit(code);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

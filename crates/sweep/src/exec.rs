@@ -9,11 +9,10 @@
 //! bit, as an uninterrupted run — the property the
 //! `resume_equals_fresh` proptest pins down.
 
-use pp_engine::observer::TrajectorySampler;
-use pp_engine::population::CountPopulation;
-use pp_engine::scheduler::UniformRandomScheduler;
+use pp_analysis::runner::run_trial;
+use pp_engine::observer::{GroupCompletionObserver, NullObserver, TrajectorySampler};
 use pp_engine::seeds;
-use pp_engine::simulator::{RunError, Simulator};
+use pp_engine::Kernel;
 
 use crate::observer::SweepObserver;
 use crate::spec::{CellMode, CellSpec, MaterializedCell};
@@ -59,7 +58,9 @@ impl CellOutcome {
 }
 
 /// Run one trial of a materialized cell. Pure in `(spec, trial)` — this
-/// is the replayable unit the journal checkpoints.
+/// is the replayable unit the journal checkpoints. Every mode runs
+/// [`run_trial`]; the mode only picks the observer and which parts of
+/// the outcome the record keeps.
 pub fn run_one_trial(spec: &CellSpec, cell: &MaterializedCell, trial: u64) -> TrialRecord {
     let seed = match spec.mode {
         // Trajectory cells are single seeded runs; the legacy binary fed
@@ -70,94 +71,69 @@ pub fn run_one_trial(spec: &CellSpec, cell: &MaterializedCell, trial: u64) -> Tr
     if !spec.dynamics.is_default() {
         return run_dynamics_trial(spec, cell, trial, seed);
     }
-    let kernel = spec.kernel.runner_kernel();
+    let mut record = TrialRecord::summary(trial, None);
     match spec.mode {
-        CellMode::Summary => TrialRecord::summary(
-            trial,
-            pp_analysis::runner::run_trial_kernel(
+        CellMode::Summary | CellMode::Full => {
+            let o = run_trial(
                 &cell.proto,
                 spec.n,
                 &cell.criterion,
                 seed,
                 spec.budget,
-                kernel,
-            ),
-        ),
-        CellMode::Watched => {
-            let w = pp_analysis::runner::run_trial_watching_kernel(
-                &cell.proto,
-                spec.n,
-                &cell.criterion,
-                spec.watched_state(),
-                seed,
-                spec.budget,
-                kernel,
+                spec.kernel,
+                &mut NullObserver,
             );
-            TrialRecord {
-                trial,
-                interactions: w.total,
-                completions: Some(w.completions),
-                final_counts: None,
-                samples: None,
+            record.interactions = o.interactions;
+            if spec.mode == CellMode::Full {
+                record.final_counts = Some(o.final_counts);
             }
         }
-        CellMode::Full => {
-            let o = pp_analysis::runner::run_trial_full_kernel(
+        CellMode::Watched => {
+            let mut watch = GroupCompletionObserver::new(spec.watched_state());
+            record.interactions = run_trial(
                 &cell.proto,
                 spec.n,
                 &cell.criterion,
                 seed,
                 spec.budget,
-                kernel,
-            );
-            TrialRecord {
-                trial,
-                interactions: o.interactions,
-                completions: None,
-                final_counts: Some(o.final_counts),
-                samples: None,
-            }
+                spec.kernel,
+                &mut watch,
+            )
+            .interactions;
+            record.completions = Some(watch.into_completions());
         }
         CellMode::Trajectory { sample_every } => {
-            // TrajectorySampler now reconstructs identity runs in closed
-            // form and works on either kernel, but `KernelChoice::auto_for`
-            // still pins trajectory cells to Naive so cached trajectory
-            // results (keyed on the kernel) keep reproducing bit for bit.
-            debug_assert_eq!(kernel, pp_analysis::runner::Kernel::Naive);
-            let mut pop = CountPopulation::new(&cell.proto, spec.n);
-            let mut sched = UniformRandomScheduler::from_seed(seed);
+            // TrajectorySampler reconstructs identity runs in closed form
+            // and works on either kernel, but `auto_for` still pins
+            // trajectory cells to Naive so cached trajectory results
+            // (keyed on the kernel) keep reproducing bit for bit.
+            debug_assert_eq!(spec.kernel, Kernel::Naive);
             let mut sampler = TrajectorySampler::every(sample_every);
-            let res = Simulator::new(&cell.proto).run_observed(
-                &mut pop,
-                &mut sched,
+            record.interactions = run_trial(
+                &cell.proto,
+                spec.n,
                 &cell.criterion,
+                seed,
                 spec.budget,
+                Kernel::Naive,
                 &mut sampler,
+            )
+            .interactions;
+            record.samples = Some(
+                sampler
+                    .samples()
+                    .iter()
+                    .map(|(t, counts)| {
+                        let mut row = Vec::with_capacity(1 + counts.len());
+                        row.push(*t);
+                        row.extend_from_slice(counts);
+                        row
+                    })
+                    .collect(),
             );
-            let interactions = match res {
-                Ok(r) => Some(r.interactions),
-                Err(RunError::InteractionLimit { .. }) => None,
-                Err(e) => panic!("trajectory trial failed: {e}"),
-            };
-            let samples = sampler
-                .samples()
-                .iter()
-                .map(|(t, counts)| {
-                    let mut row = Vec::with_capacity(1 + counts.len());
-                    row.push(*t);
-                    row.extend_from_slice(counts);
-                    row
-                })
-                .collect();
-            TrialRecord {
-                trial,
-                interactions,
-                completions: None,
-                final_counts: None,
-                samples: Some(samples),
-            }
         }
     }
+    record
 }
 
 /// Run one trial under non-default dynamics: the general topology /
@@ -312,7 +288,7 @@ mod tests {
     }
 
     fn spec(mode: CellMode) -> CellSpec {
-        let kernel = crate::spec::KernelChoice::auto_for(mode);
+        let kernel = crate::spec::auto_for(mode);
         CellSpec {
             protocol: ProtocolId::UniformKPartition { k: 3 },
             n: 12,
@@ -437,7 +413,7 @@ mod tests {
 
     fn dyn_spec(fragment: &str, mode: CellMode) -> CellSpec {
         CellSpec {
-            kernel: crate::spec::KernelChoice::Naive,
+            kernel: Kernel::Naive,
             dynamics: pp_topo::Dynamics::parse(fragment).unwrap(),
             // Sparse-topology trials may never stabilise; a small budget
             // keeps the censored path fast in debug builds.
@@ -509,7 +485,7 @@ mod tests {
         // Batch kernel on a ring: the typed pp_topo refusal surfaces as
         // InvalidInput, and no trial is simulated.
         let s = CellSpec {
-            kernel: crate::spec::KernelChoice::Batch,
+            kernel: Kernel::Batch,
             ..dyn_spec("ring;uniform;j0.l0.c0.p0", CellMode::Summary)
         };
         let err = run_cell(&s, &store, &obs, &ExecOptions::default()).unwrap_err();
@@ -520,25 +496,36 @@ mod tests {
 
     #[test]
     fn matches_legacy_runner_output() {
-        // The sweep path must reproduce pp_analysis::runner bit for bit —
-        // this is what makes migrating the figure binaries lossless.
-        let store = temp_store("legacy");
-        let s = spec(CellMode::Summary);
-        let r = run_cell(&s, &store, &NullObserver, &ExecOptions::default())
-            .unwrap()
-            .expect_complete();
+        // The sweep path must reproduce pp_analysis::runner bit for bit,
+        // on every kernel.
         let kp = pp_protocols::kpartition::UniformKPartition::new(3);
-        let batch = pp_analysis::runner::run_trials(
-            &kp.compile(),
-            12,
-            &kp.stable_signature(12),
-            pp_analysis::runner::TrialConfig {
-                trials: 6,
-                master_seed: 41,
-                max_interactions: 10_000_000,
-            },
-        );
-        assert_eq!(r.interactions(), batch.interactions);
-        assert_eq!(r.censored(), batch.censored);
+        for kernel in Kernel::ALL {
+            let store = temp_store("legacy");
+            let s = CellSpec {
+                kernel,
+                ..spec(CellMode::Summary)
+            };
+            let r = run_cell(&s, &store, &NullObserver, &ExecOptions::default())
+                .unwrap()
+                .expect_complete();
+            let batch = pp_analysis::runner::TrialBatch::new(
+                pp_analysis::runner::run_trials(
+                    &kp.compile(),
+                    12,
+                    &kp.stable_signature(12),
+                    pp_analysis::runner::TrialConfig {
+                        trials: 6,
+                        master_seed: 41,
+                        max_interactions: 10_000_000,
+                    },
+                    kernel,
+                    || pp_engine::observer::NullObserver,
+                )
+                .into_iter()
+                .map(|(o, _)| o),
+            );
+            assert_eq!(r.interactions(), batch.interactions, "{kernel}");
+            assert_eq!(r.censored(), batch.censored, "{kernel}");
+        }
     }
 }

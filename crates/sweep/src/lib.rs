@@ -26,8 +26,8 @@
 //! Execution ([`runner`]) shards cells across the worker pool with live
 //! progress via a metrics hook ([`observer`]) modeled on
 //! `pp_engine::observer`. The [`cli`] module backs the `pp-sweep` binary
-//! (`run`, `resume`, `status`, `gc`, `list`); the legacy figure binaries
-//! are thin wrappers over [`cli::delegate`].
+//! (`run`, `resume`, `status`, `gc`, `list`): `pp-sweep run <plan>` is
+//! how every figure is reproduced.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]

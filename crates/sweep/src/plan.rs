@@ -10,7 +10,7 @@
 use pp_engine::seeds;
 use pp_protocols::kpartition::UniformKPartition;
 
-use crate::spec::{CellMode, CellSpec, CriterionKind, KernelChoice, ProtocolId};
+use crate::spec::{auto_for, CellMode, CellSpec, CriterionKind, ProtocolId};
 use crate::store::{CellResult, ResultStore};
 
 /// A plan's reporter: renders tables and CSVs from the (complete) store.
@@ -74,7 +74,7 @@ pub fn ukp_cell(k: usize, n: u64, cfg: PlanConfig, mode: CellMode) -> CellSpec {
         criterion: CriterionKind::Stable,
         budget: kp.interaction_budget(n),
         mode,
-        kernel: KernelChoice::auto_for(mode),
+        kernel: auto_for(mode),
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }
@@ -91,7 +91,7 @@ pub fn baseline_cell(protocol: ProtocolId, n: u64, cfg: PlanConfig) -> CellSpec 
         criterion: CriterionKind::Stable,
         budget: 1_000_000_000_000,
         mode: CellMode::Full,
-        kernel: KernelChoice::auto_for(CellMode::Full),
+        kernel: auto_for(CellMode::Full),
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }

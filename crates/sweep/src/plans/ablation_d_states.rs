@@ -13,7 +13,7 @@ use pp_engine::seeds;
 use pp_protocols::kpartition::ablation::BasicStrategyKPartition;
 
 use crate::plan::{must_load, ukp_cell, Plan, PlanConfig};
-use crate::spec::{CellMode, CellSpec, CriterionKind, KernelChoice, ProtocolId};
+use crate::spec::{auto_for, CellMode, CellSpec, CriterionKind, ProtocolId};
 
 const CELLS: [(usize, u64); 6] = [(3, 12), (4, 12), (4, 24), (5, 20), (6, 24), (8, 32)];
 
@@ -28,7 +28,7 @@ fn basic_cell(k: usize, n: u64, cfg: PlanConfig) -> CellSpec {
         criterion: CriterionKind::Silent,
         budget: 1_000_000_000,
         mode: CellMode::Full,
-        kernel: KernelChoice::auto_for(CellMode::Full),
+        kernel: auto_for(CellMode::Full),
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }

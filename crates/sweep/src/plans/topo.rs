@@ -19,11 +19,12 @@ use std::fmt::Write as _;
 
 use pp_analysis::table::{fmt_f64, Table};
 use pp_engine::seeds;
+use pp_engine::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
 use pp_topo::Dynamics;
 
 use crate::plan::{must_load, Plan, PlanConfig};
-use crate::spec::{CellMode, CellSpec, CriterionKind, KernelChoice, ProtocolId};
+use crate::spec::{CellMode, CellSpec, CriterionKind, ProtocolId};
 
 const K: usize = 3;
 const N: u64 = 18;
@@ -69,7 +70,7 @@ fn topo_cell(fragment: &str, cfg: PlanConfig) -> CellSpec {
         criterion: CriterionKind::Stable,
         budget: kp.interaction_budget(N),
         mode: CellMode::Summary,
-        kernel: KernelChoice::Naive,
+        kernel: Kernel::Naive,
         dynamics,
     }
 }

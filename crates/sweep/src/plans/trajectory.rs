@@ -13,7 +13,8 @@ use pp_analysis::table::Table;
 use pp_protocols::kpartition::UniformKPartition;
 
 use crate::plan::{must_load, Plan, PlanConfig};
-use crate::spec::{CellMode, CellSpec, CriterionKind, KernelChoice, ProtocolId};
+use crate::spec::{CellMode, CellSpec, CriterionKind, ProtocolId};
+use pp_engine::Kernel;
 
 const KS: [usize; 3] = [4, 6, 8];
 const N: u64 = 240;
@@ -35,7 +36,7 @@ fn traj_cell(k: usize, cfg: PlanConfig) -> CellSpec {
         },
         // Trajectory capture samples every interaction (identities
         // included), which only the naive kernel reports.
-        kernel: KernelChoice::Naive,
+        kernel: Kernel::Naive,
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }

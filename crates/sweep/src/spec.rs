@@ -9,6 +9,7 @@
 
 use crate::json::Value;
 use pp_engine::protocol::{CompiledProtocol, StateId};
+use pp_engine::simulator::Kernel;
 use pp_engine::stability::{Signature, Silent, StabilityCriterion};
 use pp_protocols::hierarchical::{HierarchicalPartition, HierarchicalStable};
 use pp_protocols::kpartition::ablation::BasicStrategyKPartition;
@@ -122,62 +123,21 @@ impl CellMode {
     }
 }
 
-/// Which simulation kernel a cell's trials run on.
-///
-/// Recorded in the spec — and hence in the canonical key — because the
-/// kernels agree in distribution but consume randomness differently: the
-/// same cell seed yields different (equally valid) trial records under
-/// each, so a cached naive cell must not satisfy a leap request or vice
-/// versa.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KernelChoice {
-    /// The naive one-interaction-per-step loop.
-    Naive,
-    /// The leap kernel (identity interactions skipped in closed form).
-    Leap,
-    /// The tau-leap batch kernel (bounded-error bulk firing in the giant-n
-    /// regime, exact-leap fallback near convergence; see
-    /// `pp_engine::batch` for the error model).
-    Batch,
-}
+/// The spec's name for [`Kernel`]; the benchmark under `perfbench/`
+/// spells it this way.
+pub use pp_engine::Kernel as KernelChoice;
 
-impl KernelChoice {
-    /// The kernel a cell of the given mode should run on, honouring the
-    /// `PP_KERNEL` knob. Trajectory cells pin naive regardless of the
-    /// knob — not a correctness requirement any more (the sampler
-    /// reconstructs identity runs in closed form on the leap kernel),
-    /// but the kernel is part of the content address, so the pin keeps
-    /// existing cached trajectories addressable; every other mode
-    /// resolves `auto` to leap.
-    pub fn auto_for(mode: CellMode) -> KernelChoice {
-        if matches!(mode, CellMode::Trajectory { .. }) {
-            return KernelChoice::Naive;
-        }
-        match pp_analysis::config::kernel() {
-            pp_analysis::config::KernelKnob::Naive => KernelChoice::Naive,
-            pp_analysis::config::KernelKnob::Batch => KernelChoice::Batch,
-            pp_analysis::config::KernelKnob::Leap | pp_analysis::config::KernelKnob::Auto => {
-                KernelChoice::Leap
-            }
-        }
+/// The kernel a cell of the given mode runs on by default, honouring the
+/// `PP_KERNEL` knob ([`pp_analysis::config::kernel`]). Trajectory cells
+/// pin naive regardless of the knob — not a correctness requirement any
+/// more (the sampler reconstructs identity runs in closed form on the
+/// leap kernel), but the kernel is part of the content address, so the
+/// pin keeps existing cached trajectories addressable.
+pub fn auto_for(mode: CellMode) -> Kernel {
+    if matches!(mode, CellMode::Trajectory { .. }) {
+        return Kernel::Naive;
     }
-
-    /// The equivalent [`pp_analysis::runner::Kernel`].
-    pub fn runner_kernel(self) -> pp_analysis::runner::Kernel {
-        match self {
-            KernelChoice::Naive => pp_analysis::runner::Kernel::Naive,
-            KernelChoice::Leap => pp_analysis::runner::Kernel::Leap,
-            KernelChoice::Batch => pp_analysis::runner::Kernel::Batch,
-        }
-    }
-
-    fn key_fragment(&self) -> &'static str {
-        match self {
-            KernelChoice::Naive => "naive",
-            KernelChoice::Leap => "leap",
-            KernelChoice::Batch => "batch",
-        }
-    }
+    pp_analysis::config::kernel()
 }
 
 /// One cell: a batch of trials at fixed parameters.
@@ -204,7 +164,7 @@ pub struct CellSpec {
     /// What each trial records.
     pub mode: CellMode,
     /// Which simulation kernel runs the trials.
-    pub kernel: KernelChoice,
+    pub kernel: Kernel,
     /// Population dynamics: topology family, edge scheduler, and churn.
     /// [`Dynamics::default_dynamics`] (complete graph, uniform scheduler,
     /// no churn) is the paper's model and keys identically to pre-v4
@@ -263,7 +223,7 @@ impl CellSpec {
             self.seed,
             self.budget,
             self.mode.key_fragment(),
-            self.kernel.key_fragment(),
+            self.kernel.label(),
         );
         if !self.dynamics.is_default() {
             key.push_str(&format!("|dyn={}", self.dynamics.key_fragment()));
@@ -315,7 +275,7 @@ impl CellSpec {
         self.dynamics
             .validate(self.n as usize)
             .map_err(|e| e.to_string())?;
-        pp_topo::ensure_kernel_compatible(self.kernel.key_fragment(), &self.dynamics)
+        pp_topo::ensure_kernel_compatible(self.kernel, &self.dynamics)
             .map_err(|e| e.to_string())?;
         if !matches!(self.mode, CellMode::Summary | CellMode::Full) {
             return Err("watched/trajectory modes require default dynamics".into());
@@ -418,7 +378,7 @@ impl CellSpec {
                 pairs.push(("sample_every", Value::U64(sample_every)));
             }
         }
-        pairs.push(("kernel", Value::Str(self.kernel.key_fragment().to_string())));
+        pairs.push(("kernel", Value::Str(self.kernel.label().to_string())));
         if !self.dynamics.is_default() {
             pairs.push(("dynamics", Value::Str(self.dynamics.key_fragment())));
         }
@@ -429,7 +389,7 @@ impl CellSpec {
     /// `seed`, and `budget` are required (they all enter the content
     /// address, so there are no silent defaults for them); `criterion`
     /// defaults to `stable`, `mode` to `summary`, and `kernel` to the
-    /// mode's [`KernelChoice::auto_for`] resolution.
+    /// mode's [`auto_for`] resolution.
     pub fn from_json(v: &Value) -> Result<CellSpec, String> {
         let req_u64 = |field: &str| -> Result<u64, String> {
             v.get(field)
@@ -466,11 +426,8 @@ impl CellSpec {
             Some(other) => return Err(format!("unknown mode '{other}'")),
         };
         let kernel = match v.get("kernel").and_then(Value::as_str) {
-            None => KernelChoice::auto_for(mode),
-            Some("naive") => KernelChoice::Naive,
-            Some("leap") => KernelChoice::Leap,
-            Some("batch") => KernelChoice::Batch,
-            Some(other) => return Err(format!("unknown kernel '{other}'")),
+            None => auto_for(mode),
+            Some(name) => Kernel::parse(name).ok_or_else(|| format!("unknown kernel '{name}'"))?,
         };
         let dynamics = match v.get("dynamics").and_then(Value::as_str) {
             None => Dynamics::default_dynamics(),
@@ -587,7 +544,7 @@ mod tests {
             criterion: CriterionKind::Stable,
             budget: 1_000_000,
             mode: CellMode::Summary,
-            kernel: KernelChoice::Leap,
+            kernel: Kernel::Leap,
             dynamics: Dynamics::default_dynamics(),
         }
     }
@@ -634,12 +591,12 @@ mod tests {
                 ..base.clone()
             },
             CellSpec {
-                kernel: KernelChoice::Naive,
+                kernel: Kernel::Naive,
                 ..base.clone()
             },
             CellSpec {
                 dynamics: ring_dynamics(),
-                kernel: KernelChoice::Naive,
+                kernel: Kernel::Naive,
                 ..base.clone()
             },
         ];
@@ -669,7 +626,7 @@ mod tests {
         // Non-default dynamics key under v4 with an explicit fragment.
         let topo = CellSpec {
             dynamics: ring_dynamics(),
-            kernel: KernelChoice::Naive,
+            kernel: Kernel::Naive,
             ..ukp_cell()
         };
         let key = topo.canonical_key();
@@ -685,7 +642,7 @@ mod tests {
         // Batch on a ring: the typed refusal from pp_topo surfaces.
         let bad = CellSpec {
             dynamics: ring_dynamics(),
-            kernel: KernelChoice::Batch,
+            kernel: Kernel::Batch,
             ..ukp_cell()
         };
         let err = bad.validate_dynamics().unwrap_err();
@@ -694,14 +651,14 @@ mod tests {
         // Leap on a ring: requires default dynamics.
         let bad = CellSpec {
             dynamics: ring_dynamics(),
-            kernel: KernelChoice::Leap,
+            kernel: Kernel::Leap,
             ..ukp_cell()
         };
         assert!(bad.validate_dynamics().is_err());
         // Naive on a ring is fine; watched mode under dynamics is not.
         let ok = CellSpec {
             dynamics: ring_dynamics(),
-            kernel: KernelChoice::Naive,
+            kernel: Kernel::Naive,
             ..ukp_cell()
         };
         assert!(ok.validate_dynamics().is_ok());
@@ -717,13 +674,13 @@ mod tests {
         assert_eq!(ukp_cell().target_n(), 96);
         let churned = CellSpec {
             dynamics: Dynamics::parse("complete;uniform;j3.l1.c1.p100").unwrap(),
-            kernel: KernelChoice::Naive,
+            kernel: Kernel::Naive,
             ..ukp_cell()
         };
         assert_eq!(churned.target_n(), 97);
         let shrinking = CellSpec {
             dynamics: Dynamics::parse("complete;uniform;j0.l2.c1.p100").unwrap(),
-            kernel: KernelChoice::Naive,
+            kernel: Kernel::Naive,
             ..ukp_cell()
         };
         assert_eq!(shrinking.target_n(), 93);
@@ -747,16 +704,13 @@ mod tests {
     #[test]
     fn trajectory_mode_pins_naive_kernel() {
         assert_eq!(
-            KernelChoice::auto_for(CellMode::Trajectory { sample_every: 10 }),
-            KernelChoice::Naive
+            auto_for(CellMode::Trajectory { sample_every: 10 }),
+            Kernel::Naive
         );
         // Non-trajectory modes resolve via the env knob; with PP_KERNEL
-        // unset (the test default) auto means leap.
-        if std::env::var("PP_KERNEL").is_err() {
-            assert_eq!(
-                KernelChoice::auto_for(CellMode::Summary),
-                KernelChoice::Leap
-            );
+        // unset or `auto` (the test default) that means leap.
+        if Kernel::from_env() == Ok(None) {
+            assert_eq!(auto_for(CellMode::Summary), Kernel::Leap);
         }
     }
 
@@ -786,7 +740,7 @@ mod tests {
                 criterion: CriterionKind::Stable,
                 budget: 1000,
                 mode: CellMode::Summary,
-                kernel: KernelChoice::Leap,
+                kernel: Kernel::Leap,
                 dynamics: Dynamics::default_dynamics(),
             };
             let m = spec.materialize();
@@ -809,13 +763,13 @@ mod tests {
             specs.push(CellSpec {
                 protocol: proto,
                 criterion: CriterionKind::Silent,
-                kernel: KernelChoice::Naive,
+                kernel: Kernel::Naive,
                 ..ukp_cell()
             });
         }
         specs.push(CellSpec {
             mode: CellMode::Trajectory { sample_every: 64 },
-            kernel: KernelChoice::Naive,
+            kernel: Kernel::Naive,
             ..ukp_cell()
         });
         specs.push(CellSpec {
@@ -824,7 +778,7 @@ mod tests {
         });
         specs.push(CellSpec {
             dynamics: Dynamics::parse("rr:d=4;zipf:s=12;j1.l1.c0.p500").unwrap(),
-            kernel: KernelChoice::Naive,
+            kernel: Kernel::Naive,
             ..ukp_cell()
         });
         for s in &specs {

@@ -29,7 +29,7 @@ use pp_engine::simulator::{RunError, Simulator};
 use pp_engine::{Phase, PhaseProbe};
 use pp_telemetry::json::Value;
 
-use crate::spec::{CellMode, CellSpec, KernelChoice};
+use crate::spec::{CellMode, CellSpec};
 use crate::store::ResultStore;
 use crate::trace::glob_match;
 
@@ -163,38 +163,18 @@ fn record_trial0(spec: &CellSpec) -> Option<ProbedTrial> {
     }
     let mut pop = CountPopulation::new(&cell.proto, spec.n);
     let mut sched = UniformRandomScheduler::from_seed(seed);
-    let sim = Simulator::new(&cell.proto);
-    // Batch cells are probed on the exact leap kernel, the same stand-in
-    // the trace layer uses: the batch kernel has no interaction-granular
-    // checkpoint stream, and the leap run is a faithful exact execution
-    // of the same cell seed.
-    let (interactions, stable) = match spec.kernel {
-        KernelChoice::Naive => {
-            match sim.run_observed(
-                &mut pop,
-                &mut sched,
-                &cell.criterion,
-                spec.budget,
-                &mut probe,
-            ) {
-                Ok(r) => (r.interactions, true),
-                Err(RunError::InteractionLimit { .. }) => (spec.budget, false),
-                Err(e) => panic!("timeline trial failed: {e}"),
-            }
-        }
-        KernelChoice::Leap | KernelChoice::Batch => {
-            match sim.run_leap_observed(
-                &mut pop,
-                &mut sched,
-                &cell.criterion,
-                spec.budget,
-                &mut probe,
-            ) {
-                Ok(r) => (r.interactions, true),
-                Err(RunError::InteractionLimit { .. }) => (spec.budget, false),
-                Err(e) => panic!("timeline trial failed: {e}"),
-            }
-        }
+    // Batch cells are probed on the same exact stand-in they are traced on.
+    let (interactions, stable) = match Simulator::new(&cell.proto).run_kernel(
+        crate::trace::trace_kernel(spec.kernel).kernel(),
+        &mut pop,
+        &mut sched,
+        &cell.criterion,
+        spec.budget,
+        &mut probe,
+    ) {
+        Ok(r) => (r.interactions, true),
+        Err(RunError::InteractionLimit { .. }) => (spec.budget, false),
+        Err(e) => panic!("timeline trial failed: {e}"),
     };
     probe.finish(interactions, pop.counts());
     Some(ProbedTrial {
@@ -262,6 +242,7 @@ pub fn timeline_matching(
 mod tests {
     use super::*;
     use crate::spec::{CriterionKind, ProtocolId};
+    use pp_engine::Kernel;
     use pp_engine::PhaseMap;
     use pp_trace::Trace;
 
@@ -272,7 +253,7 @@ mod tests {
         ResultStore::at(dir)
     }
 
-    fn ukp_spec(kernel: KernelChoice, k: usize, n: u64, seed: u64) -> CellSpec {
+    fn ukp_spec(kernel: Kernel, k: usize, n: u64, seed: u64) -> CellSpec {
         CellSpec {
             protocol: ProtocolId::UniformKPartition { k },
             n,
@@ -321,7 +302,7 @@ mod tests {
     #[test]
     fn timeline_round_trips_and_reuses() {
         let store = temp_store("rt");
-        let spec = ukp_spec(KernelChoice::Leap, 3, 12, 41);
+        let spec = ukp_spec(Kernel::Leap, 3, 12, 41);
         let t = timeline_cell(&spec, &store).unwrap().unwrap();
         assert!(t.fresh);
         assert!(t.path.exists());
@@ -349,7 +330,7 @@ mod tests {
         // (regression: the classifier used to read any lone builder as
         // chain_building and mislabel every such cell's tail).
         let store = temp_store("leftover");
-        let spec = ukp_spec(KernelChoice::Leap, 4, 11, 41);
+        let spec = ukp_spec(Kernel::Leap, 4, 11, 41);
         let t = timeline_cell(&spec, &store).unwrap().unwrap();
         assert!(t.stable, "k=4 n=11 stabilises well inside 10M");
         assert_eq!(t.segments.last().unwrap().1, Phase::Stable);
@@ -368,7 +349,7 @@ mod tests {
         let mut saw_repair = false;
         for seed in [41u64, 42, 43, 44, 45, 46, 47, 48] {
             let store = temp_store(&format!("cons{seed}"));
-            let spec = ukp_spec(KernelChoice::Leap, 4, 40, seed);
+            let spec = ukp_spec(Kernel::Leap, 4, 40, seed);
             let t = timeline_cell(&spec, &store).unwrap().unwrap();
             let tr = crate::trace::trace_cell(&spec, &store).unwrap();
             let bytes = std::fs::read(&tr.path).unwrap();
@@ -409,7 +390,7 @@ mod tests {
     #[test]
     fn dynamics_cells_run_their_own_loop() {
         let store = temp_store("dyn");
-        let mut spec = ukp_spec(KernelChoice::Naive, 3, 12, 7);
+        let mut spec = ukp_spec(Kernel::Naive, 3, 12, 7);
         spec.budget = 3_000;
         spec.dynamics = pp_topo::Dynamics::parse("ring;uniform;j0.l0.c0.p0").unwrap();
         let t = timeline_cell(&spec, &store).unwrap().unwrap();
@@ -421,7 +402,7 @@ mod tests {
     #[test]
     fn matching_dedupes_filters_and_skips_unclassifiable() {
         let store = temp_store("match");
-        let spec = ukp_spec(KernelChoice::Leap, 3, 12, 41);
+        let spec = ukp_spec(Kernel::Leap, 3, 12, 41);
         let cells = vec![spec.clone(), spec.clone()];
         let made = timeline_matching(&cells, &store, "ukp-*").unwrap();
         assert_eq!(made.len(), 1);

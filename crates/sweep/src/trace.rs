@@ -23,9 +23,10 @@ use pp_engine::population::{CountPopulation, Population};
 use pp_engine::scheduler::UniformRandomScheduler;
 use pp_engine::seeds;
 use pp_engine::simulator::{RunError, Simulator};
+use pp_engine::Kernel;
 use pp_trace::{Trace, TraceKernel, TraceRecorder};
 
-use crate::spec::{CellMode, CellSpec, KernelChoice, MaterializedCell, ProtocolId};
+use crate::spec::{CellMode, CellSpec, MaterializedCell, ProtocolId};
 use crate::store::ResultStore;
 
 /// Match a shell-style glob (`*` = any run, `?` = any one char) against a
@@ -117,6 +118,19 @@ fn record_dynamics_trial0(spec: &CellSpec, cell: &MaterializedCell, seed: u64) -
     rec.finish(&outcome.final_counts)
 }
 
+/// The kernel trial 0 of a cell on `kernel` is traced (and its timeline
+/// probed) on. The batch kernel fires whole leaps in bulk and so has no
+/// interaction-granular event stream to record: a batch cell is traced
+/// on the exact leap kernel instead, a faithful exact execution of the
+/// same cell seed — a diagnostic stand-in rather than a replay of the
+/// stored (bounded-error) batch trial.
+pub(crate) fn trace_kernel(kernel: Kernel) -> TraceKernel {
+    match kernel {
+        Kernel::Naive => TraceKernel::Naive,
+        Kernel::Leap | Kernel::Batch => TraceKernel::Leap,
+    }
+}
+
 /// Record trial 0 of `spec` and return the sealed trace bytes.
 fn record_trial0(spec: &CellSpec) -> Vec<u8> {
     let cell = spec.materialize();
@@ -124,29 +138,18 @@ fn record_trial0(spec: &CellSpec) -> Vec<u8> {
     if !spec.dynamics.is_default() {
         return record_dynamics_trial0(spec, &cell, seed);
     }
-    let kernel = match spec.kernel {
-        KernelChoice::Naive => TraceKernel::Naive,
-        KernelChoice::Leap => TraceKernel::Leap,
-        // The batch kernel fires whole leaps in bulk and so has no
-        // interaction-granular event stream to record. Trace trial 0 of a
-        // batch cell on the exact leap kernel instead: the trace is then a
-        // faithful exact execution of the same cell seed, a diagnostic
-        // stand-in rather than a replay of the stored (bounded-error)
-        // batch trial.
-        KernelChoice::Batch => TraceKernel::Leap,
-    };
+    let kernel = trace_kernel(spec.kernel);
     let mut pop = CountPopulation::new(&cell.proto, spec.n);
     let mut sched = UniformRandomScheduler::from_seed(seed);
     let mut rec = TraceRecorder::for_run(&cell.proto, &pop, seed, kernel);
-    let sim = Simulator::new(&cell.proto);
-    let outcome = match kernel {
-        TraceKernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, &cell.criterion, spec.budget, &mut rec)
-        }
-        TraceKernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, &cell.criterion, spec.budget, &mut rec)
-        }
-    };
+    let outcome = Simulator::new(&cell.proto).run_kernel(
+        kernel.kernel(),
+        &mut pop,
+        &mut sched,
+        &cell.criterion,
+        spec.budget,
+        &mut rec,
+    );
     match outcome {
         Ok(_) | Err(RunError::InteractionLimit { .. }) => {}
         Err(e) => panic!("trace trial failed: {e}"),
@@ -215,7 +218,7 @@ mod tests {
         ResultStore::at(dir)
     }
 
-    fn ukp_spec(kernel: KernelChoice) -> CellSpec {
+    fn ukp_spec(kernel: Kernel) -> CellSpec {
         CellSpec {
             protocol: ProtocolId::UniformKPartition { k: 3 },
             n: 12,
@@ -245,8 +248,8 @@ mod tests {
 
     #[test]
     fn trace_matches_stored_trial0_and_verifies() {
-        for kernel in [KernelChoice::Naive, KernelChoice::Leap] {
-            let store = temp_store(if kernel == KernelChoice::Naive {
+        for kernel in [Kernel::Naive, Kernel::Leap] {
+            let store = temp_store(if kernel == Kernel::Naive {
                 "t0n"
             } else {
                 "t0l"
@@ -291,7 +294,7 @@ mod tests {
             ("churn", "complete;uniform;j2.l1.c1.p200", 4u64),
         ] {
             let store = temp_store(&format!("dyn_{tag}"));
-            let mut spec = ukp_spec(KernelChoice::Naive);
+            let mut spec = ukp_spec(Kernel::Naive);
             spec.budget = 3_000;
             spec.dynamics = pp_topo::Dynamics::parse(fragment).unwrap();
             assert!(!spec.dynamics.is_default());
@@ -327,7 +330,7 @@ mod tests {
     #[test]
     fn trace_matching_dedupes_and_filters() {
         let store = temp_store("match");
-        let spec = ukp_spec(KernelChoice::Leap);
+        let spec = ukp_spec(Kernel::Leap);
         let cells = vec![spec.clone(), spec.clone()];
         let traced = trace_matching(&cells, &store, "ukp-*").unwrap();
         assert_eq!(traced.len(), 1, "duplicate cells traced once");

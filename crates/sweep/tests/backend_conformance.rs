@@ -6,9 +6,10 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
+use pp_engine::Kernel;
 use pp_sweep::exec::{run_cell, ExecOptions};
 use pp_sweep::observer::NullObserver;
-use pp_sweep::spec::{CellMode, CellSpec, CriterionKind, KernelChoice, ProtocolId};
+use pp_sweep::spec::{CellMode, CellSpec, CriterionKind, ProtocolId};
 use pp_sweep::store::{ResultStore, TrialRecord};
 
 fn spec(seed: u64) -> CellSpec {
@@ -20,7 +21,7 @@ fn spec(seed: u64) -> CellSpec {
         criterion: CriterionKind::Stable,
         budget: 10_000_000,
         mode: CellMode::Summary,
-        kernel: KernelChoice::Leap,
+        kernel: Kernel::Leap,
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }
@@ -70,7 +71,7 @@ fn file_stems_and_content_hashes_are_pinned() {
         criterion: CriterionKind::Stable,
         budget: 50_000_000,
         mode: CellMode::Summary,
-        kernel: KernelChoice::Leap,
+        kernel: Kernel::Leap,
         dynamics: pp_topo::Dynamics::default_dynamics(),
     };
     assert_eq!(fig_cell.file_stem(), "ukp-k3-n40-761460d4e2f1bf4f");

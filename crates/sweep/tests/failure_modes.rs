@@ -11,9 +11,10 @@
 
 use proptest::prelude::*;
 
+use pp_engine::Kernel;
 use pp_sweep::exec::{run_cell, CellOutcome, ExecOptions};
 use pp_sweep::observer::NullObserver;
-use pp_sweep::spec::{CellMode, CellSpec, CriterionKind, KernelChoice, ProtocolId};
+use pp_sweep::spec::{CellMode, CellSpec, CriterionKind, ProtocolId};
 use pp_sweep::store::ResultStore;
 
 const TRIALS: usize = 7;
@@ -27,7 +28,7 @@ fn small_cell(seed: u64, mode: CellMode) -> CellSpec {
         criterion: CriterionKind::Stable,
         budget: 10_000_000,
         mode,
-        kernel: KernelChoice::Leap,
+        kernel: Kernel::Leap,
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }
@@ -190,7 +191,7 @@ fn content_hash_is_stable_across_processes() {
         criterion: CriterionKind::Stable,
         budget: 1_000_000,
         mode: CellMode::Summary,
-        kernel: KernelChoice::Leap,
+        kernel: Kernel::Leap,
         dynamics: pp_topo::Dynamics::default_dynamics(),
     };
     assert_eq!(

@@ -25,6 +25,7 @@ use pp_engine::observer::{LifecycleKind, Observer};
 use pp_engine::population::{AgentPopulation, Population};
 use pp_engine::protocol::CompiledProtocol;
 use pp_engine::seeds;
+use pp_engine::simulator::Kernel;
 use pp_engine::stability::StabilityCriterion;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,8 +53,8 @@ pub enum DynamicsError {
     /// for the uniform scheduler on the complete graph with a fixed
     /// population; any other dynamics must run the per-agent naive path.
     KernelRequiresDefaultDynamics {
-        /// The offending kernel name.
-        kernel: String,
+        /// The offending kernel.
+        kernel: Kernel,
     },
     /// The dynamics specification is invalid for this population size.
     Spec(crate::spec::SpecError),
@@ -88,23 +89,21 @@ impl From<crate::spec::SpecError> for DynamicsError {
     }
 }
 
-/// Check a kernel name (`"naive"`, `"leap"`, `"batch"`) against a
-/// dynamics description. Default dynamics admit every kernel; anything
-/// else admits only the naive per-agent path, with the batch kernel's
-/// refusal singled out as [`DynamicsError::BatchRequiresComplete`] when
-/// the topology is the problem.
-pub fn ensure_kernel_compatible(kernel: &str, dynamics: &Dynamics) -> Result<(), DynamicsError> {
-    if dynamics.is_default() || kernel == "naive" {
+/// Check a kernel against a dynamics description. Default dynamics
+/// admit every kernel; anything else admits only the naive per-agent
+/// path, with the batch kernel's refusal singled out as
+/// [`DynamicsError::BatchRequiresComplete`] when the topology is the
+/// problem.
+pub fn ensure_kernel_compatible(kernel: Kernel, dynamics: &Dynamics) -> Result<(), DynamicsError> {
+    if dynamics.is_default() || kernel == Kernel::Naive {
         return Ok(());
     }
-    if kernel == "batch" && !matches!(dynamics.topo, crate::spec::TopoSpec::Complete) {
+    if kernel == Kernel::Batch && !matches!(dynamics.topo, crate::spec::TopoSpec::Complete) {
         return Err(DynamicsError::BatchRequiresComplete {
             family: dynamics.topo.family().to_string(),
         });
     }
-    Err(DynamicsError::KernelRequiresDefaultDynamics {
-        kernel: kernel.to_string(),
-    })
+    Err(DynamicsError::KernelRequiresDefaultDynamics { kernel })
 }
 
 /// Outcome of one completed dynamics trial.
@@ -392,21 +391,21 @@ mod tests {
     #[test]
     fn kernel_compatibility_matrix() {
         let default = Dynamics::default_dynamics();
-        for kernel in ["naive", "leap", "batch"] {
+        for kernel in Kernel::ALL {
             assert!(ensure_kernel_compatible(kernel, &default).is_ok());
         }
         let ring = dynamics(TopoSpec::Ring);
-        assert!(ensure_kernel_compatible("naive", &ring).is_ok());
+        assert!(ensure_kernel_compatible(Kernel::Naive, &ring).is_ok());
         assert_eq!(
-            ensure_kernel_compatible("batch", &ring),
+            ensure_kernel_compatible(Kernel::Batch, &ring),
             Err(DynamicsError::BatchRequiresComplete {
                 family: "ring".into()
             })
         );
         assert_eq!(
-            ensure_kernel_compatible("leap", &ring),
+            ensure_kernel_compatible(Kernel::Leap, &ring),
             Err(DynamicsError::KernelRequiresDefaultDynamics {
-                kernel: "leap".into()
+                kernel: Kernel::Leap
             })
         );
         // Complete graph but churned: batch is refused for the churn,
@@ -422,9 +421,9 @@ mod tests {
             },
         };
         assert_eq!(
-            ensure_kernel_compatible("batch", &churned),
+            ensure_kernel_compatible(Kernel::Batch, &churned),
             Err(DynamicsError::KernelRequiresDefaultDynamics {
-                kernel: "batch".into()
+                kernel: Kernel::Batch
             })
         );
     }

@@ -240,8 +240,8 @@ impl EdgeScheduler for AdversarialFairScheduler {
 }
 
 /// Adapter running an [`EdgeScheduler`] over a *static* topology as an
-/// engine [`AgentScheduler`], so `Simulator::run_agents*` works unchanged
-/// on restricted graphs. (Churn needs the dynamics runner in
+/// engine [`AgentScheduler`], so `Simulator::run_agents_observed` works
+/// unchanged on restricted graphs. (Churn needs the dynamics runner in
 /// [`crate::dynamics`], which owns and mutates the topology instead.)
 pub struct TopologyScheduler {
     topo: Box<dyn Topology>,

@@ -9,14 +9,16 @@
 //! pp-trace lemma1 FILE          online Lemma-1 invariant check
 //! ```
 //!
-//! `record` honours the `PP_KERNEL` knob when `--kernel` is not given
-//! (`auto` resolves to the leap kernel, like the analysis runner does
-//! for count populations).
+//! `record` honours the `PP_KERNEL` knob ([`pp_engine::Kernel::from_env`])
+//! when `--kernel` is not given. `auto` resolves to the leap kernel, as
+//! everywhere else; a value naming no traceable kernel (including
+//! `batch`) is an error.
 
 use crate::classify::{check_lemma1, classify, Event, Lemma1Report};
 use crate::format::{TraceError, TraceKernel};
 use crate::live::{record_kpartition, verify_against_live};
 use crate::replay::Trace;
+use pp_engine::Kernel;
 use std::path::Path;
 
 /// Entry point; returns the process exit code.
@@ -103,13 +105,15 @@ fn parse_u64(opts: &[(String, String)], name: &str) -> Result<Option<u64>, Strin
 }
 
 fn kernel_from(opts: &[(String, String)]) -> Result<TraceKernel, String> {
-    let chosen = opt(opts, "kernel")
-        .map(str::to_string)
-        .or_else(|| std::env::var("PP_KERNEL").ok());
-    match chosen.as_deref().map(str::to_ascii_lowercase).as_deref() {
-        Some("naive") => Ok(TraceKernel::Naive),
-        Some("leap") | Some("auto") | None => Ok(TraceKernel::Leap),
-        Some(other) => Err(format!("unknown kernel `{other}` (naive|leap)")),
+    let chosen = match opt(opts, "kernel") {
+        Some(v) => Kernel::parse_knob(v),
+        None => Kernel::from_env(),
+    };
+    match chosen {
+        Ok(Some(Kernel::Naive)) => Ok(TraceKernel::Naive),
+        Ok(Some(Kernel::Leap) | None) => Ok(TraceKernel::Leap),
+        Ok(Some(other)) => Err(format!("unknown kernel `{other}` (naive|leap)")),
+        Err(other) => Err(format!("unknown kernel `{other}` (naive|leap)")),
     }
 }
 

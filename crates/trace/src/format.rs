@@ -30,6 +30,7 @@
 //! than a recoverable prefix.
 
 use pp_engine::observer::LifecycleKind;
+use pp_engine::Kernel;
 use std::fmt;
 
 /// Magic bytes opening every trace file (format version 1).
@@ -45,12 +46,14 @@ pub const TAG_FOOTER: u64 = 2;
 /// layer between interactions.
 pub const TAG_LIFECYCLE: u64 = 3;
 
-/// Which simulation kernel produced a trace.
+/// Which simulation kernel produced a trace: the wire tag of the
+/// interaction-granular [`Kernel`]s (the batch kernel fires whole leaps
+/// and has no per-interaction stream to record).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKernel {
-    /// One interaction per loop iteration (`Simulator::run`).
+    /// One interaction per loop iteration ([`Kernel::Naive`]).
     Naive,
-    /// Batched identity-skipping kernel (`Simulator::run_leap`).
+    /// Identity-skipping kernel ([`Kernel::Leap`]).
     Leap,
 }
 
@@ -72,18 +75,18 @@ impl TraceKernel {
         }
     }
 
-    /// Lower-case name, as used by the `PP_KERNEL` knob.
-    pub fn name(self) -> &'static str {
+    /// The engine kernel that runs (and re-runs) this trace.
+    pub fn kernel(self) -> Kernel {
         match self {
-            TraceKernel::Naive => "naive",
-            TraceKernel::Leap => "leap",
+            TraceKernel::Naive => Kernel::Naive,
+            TraceKernel::Leap => Kernel::Leap,
         }
     }
 }
 
 impl fmt::Display for TraceKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+        f.write_str(self.kernel().label())
     }
 }
 

@@ -48,13 +48,14 @@ pub fn record_kpartition(
     let criterion = kp.stable_signature(n);
     let budget = budget.unwrap_or_else(|| kp.interaction_budget(n));
     let mut rec = TraceRecorder::for_run(&proto, &pop, seed, kernel);
-    let sim = Simulator::new(&proto);
-    let outcome = match kernel {
-        TraceKernel::Naive => sim.run_observed(&mut pop, &mut sched, &criterion, budget, &mut rec),
-        TraceKernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, &criterion, budget, &mut rec)
-        }
-    };
+    let outcome = Simulator::new(&proto).run_kernel(
+        kernel.kernel(),
+        &mut pop,
+        &mut sched,
+        &criterion,
+        budget,
+        &mut rec,
+    );
     let (interactions, censored) = match outcome {
         Ok(res) => (res.interactions, false),
         Err(RunError::InteractionLimit { limit }) => (limit, true),
@@ -101,23 +102,14 @@ pub fn verify_against_live(trace: &Trace) -> Result<VerifyReport, TraceError> {
     let mut sched = UniformRandomScheduler::from_seed(trace.header.seed);
     let criterion = kp.stable_signature(n);
     let budget = kp.interaction_budget(n);
-    let sim = Simulator::new(&proto);
-    let outcome = match trace.header.kernel {
-        TraceKernel::Naive => sim.run_observed(
-            &mut pop,
-            &mut sched,
-            &criterion,
-            budget,
-            &mut pp_engine::observer::NullObserver,
-        ),
-        TraceKernel::Leap => sim.run_leap_observed(
-            &mut pop,
-            &mut sched,
-            &criterion,
-            budget,
-            &mut pp_engine::observer::NullObserver,
-        ),
-    };
+    let outcome = Simulator::new(&proto).run_kernel(
+        trace.header.kernel.kernel(),
+        &mut pop,
+        &mut sched,
+        &criterion,
+        budget,
+        &mut pp_engine::observer::NullObserver,
+    );
     let (live_interactions, censored) = match outcome {
         Ok(res) => (res.interactions, false),
         Err(RunError::InteractionLimit { limit }) => (limit, true),

@@ -1,8 +1,8 @@
 //! Recording live runs through the engine's `Observer` hook.
 //!
 //! [`TraceRecorder`] implements [`pp_engine::observer::Observer`], so it
-//! plugs into `Simulator::run_observed` and `run_leap_observed` (alone or
-//! chained) without any change to the hot loops. Under the naive kernel
+//! plugs into `Simulator::run_kernel` on the naive and leap kernels (alone
+//! or chained) without any change to the hot loops. Under the naive kernel
 //! it coalesces per-step identity interactions into the same compact
 //! identity-run records the leap kernel reports natively, so traces of
 //! the two kernels share one format and one decoder.

@@ -70,18 +70,11 @@ proptest! {
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed);
         let mut rec = TraceRecorder::for_run(&proto, &pop, seed, kernel);
-        let sim = Simulator::new(&proto);
         // Arbitrary protocols may never silence; a budget keeps the runs
         // bounded and exercises the censored encode path too.
         let budget = 5_000;
-        let res = match kernel {
-            TraceKernel::Naive => {
-                sim.run_observed(&mut pop, &mut sched, &Silent, budget, &mut rec)
-            }
-            TraceKernel::Leap => {
-                sim.run_leap_observed(&mut pop, &mut sched, &Silent, budget, &mut rec)
-            }
-        };
+        let res = Simulator::new(&proto)
+            .run_kernel(kernel.kernel(), &mut pop, &mut sched, &Silent, budget, &mut rec);
         match res {
             Ok(_) | Err(RunError::InteractionLimit { .. }) => {}
             Err(e) => panic!("run failed: {e}"),

@@ -63,7 +63,13 @@ fn main() {
         }
     }
     let run = Simulator::new(&proto)
-        .run(&mut pop, &mut sched, &Crit(stable), 1_000_000)
+        .run_observed(
+            &mut pop,
+            &mut sched,
+            &Crit(stable),
+            1_000_000,
+            &mut NullObserver,
+        )
         .expect("stabilises");
     println!(
         "simulated: stabilised after {} interactions; groups {:?}",

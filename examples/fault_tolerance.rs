@@ -38,7 +38,13 @@ fn main() {
     let mut sched = UniformRandomScheduler::from_seed(13);
     let sig = kp.stable_signature(n as u64);
     let run = Simulator::new(&proto)
-        .run_agents(&mut pop, &mut sched, &sig, kp.interaction_budget(n as u64))
+        .run_agents_observed(
+            &mut pop,
+            &mut sched,
+            &sig,
+            kp.interaction_budget(n as u64),
+            &mut NullObserver,
+        )
         .expect("initial partition stabilises");
     println!(
         "phase 1: {} sensors -> groups {:?} after {} interactions",
@@ -87,7 +93,13 @@ fn main() {
     let sig = kp.stable_signature(survivors);
     let mut sched = UniformRandomScheduler::from_seed(14);
     let run = Simulator::new(&proto)
-        .run_agents(&mut pop, &mut sched, &sig, kp.interaction_budget(survivors))
+        .run_agents_observed(
+            &mut pop,
+            &mut sched,
+            &sig,
+            kp.interaction_budget(survivors),
+            &mut NullObserver,
+        )
         .expect("re-partition stabilises");
     let healed = pop.group_sizes(&proto);
     println!(
@@ -105,11 +117,12 @@ fn main() {
     let mut ring_sched = uniform_k_partition::topo::TopologyScheduler::uniform(Box::new(g), 15);
     let mut ring_pop = AgentPopulation::new(&proto, survivors as usize);
     let _ = ring_sched.select_agents(&ring_pop);
-    let res = Simulator::new(&proto).run_agents(
+    let res = Simulator::new(&proto).run_agents_observed(
         &mut ring_pop,
         &mut ring_sched,
         &kp.stable_signature(survivors),
         5_000_000,
+        &mut NullObserver,
     );
     match res {
         Ok(r) => println!(

@@ -36,7 +36,13 @@ fn main() {
     //    Lemmas 4–6 is reached.
     let criterion = kp.stable_signature(n);
     let result = Simulator::new(&proto)
-        .run(&mut pop, &mut sched, &criterion, kp.interaction_budget(n))
+        .run_observed(
+            &mut pop,
+            &mut sched,
+            &criterion,
+            kp.interaction_budget(n),
+            &mut NullObserver,
+        )
         .expect("the protocol stabilises under global fairness");
 
     println!(

@@ -33,7 +33,13 @@ fn main() {
     let mut sched = UniformRandomScheduler::from_seed(7);
     let criterion = kp.stable_signature(n);
     let run = Simulator::new(&proto)
-        .run(&mut pop, &mut sched, &criterion, kp.interaction_budget(n))
+        .run_observed(
+            &mut pop,
+            &mut sched,
+            &criterion,
+            kp.interaction_budget(n),
+            &mut NullObserver,
+        )
         .expect("partition stabilises");
 
     let sizes = pop.group_sizes(&proto);

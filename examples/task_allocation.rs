@@ -12,6 +12,7 @@
 //! handles: here a molecular-robot swarm splits 3:2:1 between *sensing*,
 //! *transport*, and *repair* duty.
 
+use pp_engine::observer::NullObserver;
 use pp_engine::population::{CountPopulation, Population};
 use pp_engine::scheduler::UniformRandomScheduler;
 use pp_engine::simulator::Simulator;
@@ -36,11 +37,12 @@ fn main() {
     let mut sched = UniformRandomScheduler::from_seed(99);
     let criterion = rp.stable_signature(n);
     let run = Simulator::new(&proto)
-        .run(
+        .run_observed(
             &mut pop,
             &mut sched,
             &criterion,
             rp.slots().interaction_budget(n),
+            &mut NullObserver,
         )
         .expect("ratio partition stabilises");
 

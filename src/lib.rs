@@ -34,7 +34,7 @@
 //! let mut sched = UniformRandomScheduler::from_seed(2024);
 //! let criterion = UniformKPartition::new(4).stable_signature(30);
 //! let result = Simulator::new(&proto)
-//!     .run(&mut pop, &mut sched, &criterion, u64::MAX)
+//!     .run_observed(&mut pop, &mut sched, &criterion, u64::MAX, &mut NullObserver)
 //!     .unwrap();
 //! assert_eq!(pop.group_sizes(&proto), vec![8, 8, 7, 7]);
 //! println!("stabilised after {} interactions", result.interactions);
@@ -53,10 +53,11 @@ pub use pp_verify as verify;
 
 /// The most common imports, bundled.
 pub mod prelude {
+    pub use pp_engine::observer::NullObserver;
     pub use pp_engine::population::{AgentPopulation, CountPopulation, Population};
     pub use pp_engine::protocol::{CompiledProtocol, GroupId, StateId};
     pub use pp_engine::scheduler::{PairScheduler, UniformRandomScheduler};
-    pub use pp_engine::simulator::{RunResult, Simulator};
+    pub use pp_engine::simulator::{Kernel, RunResult, Simulator};
     pub use pp_engine::spec::ProtocolSpec;
     pub use pp_engine::stability::{GroupClosure, Signature, Silent, StabilityCriterion};
     pub use pp_engine::BatchConfig;
@@ -75,7 +76,13 @@ mod facade_tests {
         let mut pop = CountPopulation::new(&proto, 30);
         let mut sched = UniformRandomScheduler::from_seed(2024);
         let result = Simulator::new(&proto)
-            .run(&mut pop, &mut sched, &kp.stable_signature(30), u64::MAX)
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &kp.stable_signature(30),
+                u64::MAX,
+                &mut NullObserver,
+            )
             .unwrap();
         assert_eq!(pop.group_sizes(&proto), vec![8, 8, 7, 7]);
         assert!(result.interactions > 0);
@@ -91,7 +98,7 @@ mod facade_tests {
         let g = crate::verify::ConfigGraph::explore(&proto, 3, 100).unwrap();
         assert_eq!(g.num_configs(), 1);
         assert_eq!(crate::telemetry::bucket_of(0), 0);
-        assert_eq!(crate::trace::TraceKernel::Leap.name(), "leap");
+        assert_eq!(crate::trace::TraceKernel::Leap.to_string(), "leap");
         assert!(crate::topo::Dynamics::default_dynamics().is_default());
     }
 }

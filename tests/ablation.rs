@@ -2,11 +2,24 @@
 //! on random executions with measurable probability, while the full
 //! protocol succeeds on every one — the quantitative form of §3.2.
 
-use pp_analysis::runner::{run_trials_full, TrialConfig};
+use pp_analysis::runner::{run_trials, TrialConfig, TrialOutcome};
 use pp_engine::population::{CountPopulation, Population};
 use pp_engine::stability::Silent;
 use uniform_k_partition::prelude::*;
 use uniform_k_partition::protocols::kpartition::ablation::BasicStrategyKPartition;
+
+/// Every trial's outcome on the leap kernel.
+fn run_trials_full<C: StabilityCriterion + Sync>(
+    proto: &CompiledProtocol,
+    n: u64,
+    criterion: &C,
+    cfg: TrialConfig,
+) -> Vec<TrialOutcome> {
+    run_trials(proto, n, criterion, cfg, Kernel::Leap, || NullObserver)
+        .into_iter()
+        .map(|(o, _)| o)
+        .collect()
+}
 
 #[test]
 fn basic_strategy_deadlocks_with_positive_probability() {

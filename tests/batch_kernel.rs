@@ -1,9 +1,9 @@
 //! The batch (tau-leap) kernel against its two contracts.
 //!
 //! **Exactness of the fallback path:** with `safety_threshold >= n`
-//! every step of `run_batch` falls back to exact leap stepping, and —
-//! because the fallback eligibility check consumes no randomness — the
-//! whole run is bit-identical to `run_leap` for the same seed. That is a
+//! every step of the batch kernel falls back to exact leap stepping, and
+//! — because the fallback eligibility check consumes no randomness — the
+//! whole run is bit-identical to the leap kernel for the same seed. That is a
 //! hard equality, property-tested over a grid of cells.
 //!
 //! **Bounded error of the leap path:** with the default configuration
@@ -27,12 +27,12 @@ use uniform_k_partition::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `run_batch` with `safety_threshold = n` (every step low-count →
-    /// always falls back) is bit-identical to `run_leap`: same
+    /// The batch kernel with `safety_threshold = n` (every step low-count
+    /// → always falls back) is bit-identical to the leap kernel: same
     /// interaction and effective-interaction counts, same final
     /// configuration, for the same seed. The fallback applies each
-    /// firing through its channel's precompiled deltas while `run_leap`
-    /// folds four per-state deltas, so k up to 8 sends every Algorithm 1
+    /// firing through its channel's precompiled deltas while the leap
+    /// kernel folds four per-state deltas, so k up to 8 sends every Algorithm 1
     /// rule shape (the rule 3/4 flips with cancelling catalyst deltas,
     /// the rule 8 self-pair) through both paths.
     #[test]
@@ -49,7 +49,14 @@ proptest! {
         let mut pop_leap = CountPopulation::new(&proto, n);
         let mut sched_leap = UniformRandomScheduler::from_seed(seed);
         let leap = sim
-            .run_leap(&mut pop_leap, &mut sched_leap, &sig, u64::MAX)
+            .run_kernel(
+                Kernel::Leap,
+                &mut pop_leap,
+                &mut sched_leap,
+                &sig,
+                u64::MAX,
+                &mut NullObserver,
+            )
             .unwrap();
 
         let cfg = BatchConfig {
@@ -117,7 +124,15 @@ fn samples(batch_kernel: bool, k: usize, n: u64, trials: u64, seed_base: u64) ->
             leaps += counter.leaps;
             r
         } else {
-            sim.run_leap(&mut pop, &mut sched, &sig, u64::MAX).unwrap()
+            sim.run_kernel(
+                Kernel::Leap,
+                &mut pop,
+                &mut sched,
+                &sig,
+                u64::MAX,
+                &mut NullObserver,
+            )
+            .unwrap()
         };
         out.push(r.interactions as f64);
     }

@@ -28,7 +28,13 @@ fn exact_and_simulated(k: usize, n: u64, trials: u64) -> (f64, f64, f64) {
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed * 7 + 1);
         let r = Simulator::new(&proto)
-            .run(&mut pop, &mut sched, &sig, kp.interaction_budget(n))
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &sig,
+                kp.interaction_budget(n),
+                &mut NullObserver,
+            )
             .unwrap();
         sum += r.interactions;
         sumsq += (r.interactions as f64).powi(2);

@@ -19,14 +19,26 @@ fn stabilises_under_deterministic_global_fairness() {
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = LeastVisitedScheduler::new();
         let res = Simulator::new(&proto)
-            .run(&mut pop, &mut sched, &kp.stable_signature(n), 10_000_000)
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &kp.stable_signature(n),
+                10_000_000,
+                &mut NullObserver,
+            )
             .unwrap_or_else(|e| panic!("k={k} n={n}: {e}"));
         assert_eq!(pop.group_sizes(&proto), kp.expected_group_sizes(n));
         // Deterministic: same run twice gives the same count.
         let mut pop2 = CountPopulation::new(&proto, n);
         let mut sched2 = LeastVisitedScheduler::new();
         let res2 = Simulator::new(&proto)
-            .run(&mut pop2, &mut sched2, &kp.stable_signature(n), 10_000_000)
+            .run_observed(
+                &mut pop2,
+                &mut sched2,
+                &kp.stable_signature(n),
+                10_000_000,
+                &mut NullObserver,
+            )
             .unwrap();
         assert_eq!(res.interactions, res2.interactions, "k={k} n={n}");
     }
@@ -55,7 +67,13 @@ fn unfair_flip_schedule_never_stabilises() {
         0,
     );
     // 10k interactions later nothing has settled.
-    let res = Simulator::new(&proto).run(&mut pop, &mut sched, &Never, 10_000);
+    let res = Simulator::new(&proto).run_observed(
+        &mut pop,
+        &mut sched,
+        &Never,
+        10_000,
+        &mut NullObserver,
+    );
     assert!(res.is_err());
     assert_eq!(
         pop.count(ini) + pop.count(inip),
@@ -80,7 +98,13 @@ fn deterministic_fairness_recovers_from_chain_collision_setup() {
     assert!(kp.lemma1_holds(pop.counts()));
     let mut sched = LeastVisitedScheduler::new();
     Simulator::new(&proto)
-        .run(&mut pop, &mut sched, &kp.stable_signature(6), 10_000_000)
+        .run_observed(
+            &mut pop,
+            &mut sched,
+            &kp.stable_signature(6),
+            10_000_000,
+            &mut NullObserver,
+        )
         .expect("fair execution must resolve the chain collision");
     assert_eq!(pop.group_sizes(&proto), vec![1; 6]);
 }

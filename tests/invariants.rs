@@ -129,7 +129,7 @@ proptest! {
             let mut pop = CountPopulation::new(&proto, n);
             let mut sched = UniformRandomScheduler::from_seed(s);
             let r = Simulator::new(&proto)
-                .run(&mut pop, &mut sched, &kp.stable_signature(n), kp.interaction_budget(n))
+                .run_observed(&mut pop, &mut sched, &kp.stable_signature(n), kp.interaction_budget(n), &mut NullObserver)
                 .unwrap();
             (r.interactions, pop.counts().to_vec())
         };
@@ -147,7 +147,7 @@ proptest! {
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed);
         Simulator::new(&proto)
-            .run(&mut pop, &mut sched, &kp.stable_signature(n), kp.interaction_budget(n))
+            .run_observed(&mut pop, &mut sched, &kp.stable_signature(n), kp.interaction_budget(n), &mut NullObserver)
             .unwrap();
         prop_assert!(pp_engine::stability::GroupClosure::default()
             .is_stable(&proto, pop.counts()));
@@ -168,8 +168,7 @@ proptest! {
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed);
         Simulator::new(&proto)
-            .run(&mut pop, &mut sched, &rp.stable_signature(n),
-                 rp.slots().interaction_budget(n))
+            .run_observed(&mut pop, &mut sched, &rp.stable_signature(n), rp.slots().interaction_budget(n), &mut NullObserver)
             .unwrap();
         prop_assert_eq!(pop.group_sizes(&proto), rp.expected_group_sizes(n));
     }
@@ -184,11 +183,12 @@ fn lemma1_checker_is_not_vacuous() {
     let mut pop = CountPopulation::new(&proto, 20);
     let mut sched = UniformRandomScheduler::from_seed(1);
     Simulator::new(&proto)
-        .run(
+        .run_observed(
             &mut pop,
             &mut sched,
             &kp.stable_signature(20),
             kp.interaction_budget(20),
+            &mut NullObserver,
         )
         .unwrap();
     assert!(kp.lemma1_holds(pop.counts()));

@@ -3,19 +3,14 @@
 //! interactions-to-stability metric must both match the exact
 //! expectation (and hence each other). A fixed-seed regression test pins
 //! the leap kernel's RNG-stream consumption so accidental changes to the
-//! sampling order are caught immediately.
+//! sampling order are caught immediately, and `Simulator::run_kernel` is
+//! checked to run exactly each kernel's body.
 
 use proptest::prelude::*;
 
 use uniform_k_partition::prelude::*;
 use uniform_k_partition::verify::hitting::{hitting_moments, SolverOptions};
 use uniform_k_partition::verify::ConfigGraph;
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kernel {
-    Naive,
-    Leap,
-}
 
 /// Mean and standard error of interactions-to-stability over `trials`
 /// seeded runs of one kernel.
@@ -29,11 +24,16 @@ fn sample_mean(kernel: Kernel, k: usize, n: u64, trials: u64, seed_base: u64) ->
     for t in 0..trials {
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed_base + t);
-        let r = match kernel {
-            Kernel::Naive => sim.run(&mut pop, &mut sched, &sig, u64::MAX),
-            Kernel::Leap => sim.run_leap(&mut pop, &mut sched, &sig, u64::MAX),
-        }
-        .unwrap();
+        let r = sim
+            .run_kernel(
+                kernel,
+                &mut pop,
+                &mut sched,
+                &sig,
+                u64::MAX,
+                &mut NullObserver,
+            )
+            .unwrap();
         sum += r.interactions;
         sumsq += (r.interactions as f64).powi(2);
     }
@@ -114,8 +114,72 @@ fn leap_fixed_seed_regression() {
     let mut pop = CountPopulation::new(&proto, 30);
     let mut sched = UniformRandomScheduler::from_seed(2024);
     let r = Simulator::new(&proto)
-        .run_leap(&mut pop, &mut sched, &kp.stable_signature(30), u64::MAX)
+        .run_kernel(
+            Kernel::Leap,
+            &mut pop,
+            &mut sched,
+            &kp.stable_signature(30),
+            u64::MAX,
+            &mut NullObserver,
+        )
         .unwrap();
     assert_eq!(pop.group_sizes(&proto), vec![8, 8, 7, 7]);
     assert_eq!((r.interactions, r.effective_interactions), (354, 84));
+}
+
+/// `run_kernel` is a pure dispatch: for every kernel and seed it returns
+/// the same `RunResult` and final counts as that kernel's public body —
+/// `run_observed` for naive, `run_batch_observed` for batch, and for leap
+/// the full-fallback batch configuration, which is bit-identical to the
+/// leap kernel (`tests/batch_kernel.rs`).
+#[test]
+fn run_kernel_runs_each_kernels_body() {
+    for (k, n) in [(3usize, 12u64), (4, 30), (8, 400)] {
+        let kp = UniformKPartition::new(k);
+        let proto = kp.compile();
+        let sig = kp.stable_signature(n);
+        let sim = Simulator::new(&proto);
+        for seed in 0..5u64 {
+            for kernel in Kernel::ALL {
+                let mut pop = CountPopulation::new(&proto, n);
+                let mut sched = UniformRandomScheduler::from_seed(seed);
+                let dispatched = sim
+                    .run_kernel(
+                        kernel,
+                        &mut pop,
+                        &mut sched,
+                        &sig,
+                        u64::MAX,
+                        &mut NullObserver,
+                    )
+                    .unwrap();
+                let mut body_pop = CountPopulation::new(&proto, n);
+                let mut sched = UniformRandomScheduler::from_seed(seed);
+                let p = &mut body_pop;
+                let body = match kernel {
+                    Kernel::Naive => {
+                        sim.run_observed(p, &mut sched, &sig, u64::MAX, &mut NullObserver)
+                    }
+                    Kernel::Leap => sim.run_batch_configured(
+                        p,
+                        &mut sched,
+                        &sig,
+                        u64::MAX,
+                        &BatchConfig {
+                            safety_threshold: n,
+                            ..BatchConfig::default()
+                        },
+                        &mut NullObserver,
+                    ),
+                    Kernel::Batch => {
+                        sim.run_batch_observed(p, &mut sched, &sig, u64::MAX, &mut NullObserver)
+                    }
+                }
+                .unwrap();
+                let ctx = format!("{kernel} k={k} n={n} seed={seed}");
+                assert_eq!(dispatched, body, "{ctx}");
+                assert_eq!(pop.counts(), body_pop.counts(), "{ctx}");
+            }
+        }
+    }
 }

@@ -200,11 +200,12 @@ fn simulator_ends_in_a_terminal_configuration() {
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed);
         Simulator::new(&proto)
-            .run(
+            .run_observed(
                 &mut pop,
                 &mut sched,
                 &kp.stable_signature(n),
                 kp.interaction_budget(n),
+                &mut NullObserver,
             )
             .unwrap();
         let as_u32: Vec<u32> = pop.counts().iter().map(|&c| c as u32).collect();

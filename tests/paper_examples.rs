@@ -146,11 +146,12 @@ fn figure2_population_recovers_to_uniform_partition() {
         pp_engine::population::CountPopulation::from_counts(exec.population().counts().to_vec());
     let mut sched = UniformRandomScheduler::from_seed(3);
     Simulator::new(&proto)
-        .run(
+        .run_observed(
             &mut pop,
             &mut sched,
             &kp.stable_signature(6),
             kp.interaction_budget(6),
+            &mut NullObserver,
         )
         .expect("recovered population stabilises");
     assert_eq!(pop.group_sizes(&proto), vec![1; 6]);

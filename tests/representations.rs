@@ -22,7 +22,13 @@ fn count_and_agent_representations_agree_statistically() {
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed);
         count_sum += Simulator::new(&proto)
-            .run(&mut pop, &mut sched, &sig, kp.interaction_budget(n))
+            .run_observed(
+                &mut pop,
+                &mut sched,
+                &sig,
+                kp.interaction_budget(n),
+                &mut NullObserver,
+            )
             .unwrap()
             .interactions;
         assert_eq!(pop.group_sizes(&proto), kp.expected_group_sizes(n));
@@ -33,7 +39,13 @@ fn count_and_agent_representations_agree_statistically() {
         let mut pop = AgentPopulation::new(&proto, n as usize);
         let mut sched = UniformRandomScheduler::from_seed(1_000_000 + seed);
         agent_sum += Simulator::new(&proto)
-            .run_agents(&mut pop, &mut sched, &sig, kp.interaction_budget(n))
+            .run_agents_observed(
+                &mut pop,
+                &mut sched,
+                &sig,
+                kp.interaction_budget(n),
+                &mut NullObserver,
+            )
             .unwrap()
             .interactions;
         assert_eq!(pop.group_sizes(&proto), kp.expected_group_sizes(n));
@@ -61,7 +73,13 @@ fn complete_graph_scheduler_equivalent_to_uniform() {
         let mut pop = AgentPopulation::new(&proto, n);
         let mut sched = TopologyScheduler::uniform(Box::new(CompleteTopology::new(n)), seed);
         sum += Simulator::new(&proto)
-            .run_agents(&mut pop, &mut sched, &sig, kp.interaction_budget(n as u64))
+            .run_agents_observed(
+                &mut pop,
+                &mut sched,
+                &sig,
+                kp.interaction_budget(n as u64),
+                &mut NullObserver,
+            )
             .unwrap()
             .interactions;
         assert_eq!(pop.group_sizes(&proto), kp.expected_group_sizes(n as u64));
@@ -82,7 +100,13 @@ fn per_agent_groups_frozen_after_stability() {
     let mut pop = AgentPopulation::new(&proto, n);
     let mut sched = UniformRandomScheduler::from_seed(5);
     Simulator::new(&proto)
-        .run_agents(&mut pop, &mut sched, &sig, kp.interaction_budget(n as u64))
+        .run_agents_observed(
+            &mut pop,
+            &mut sched,
+            &sig,
+            kp.interaction_budget(n as u64),
+            &mut NullObserver,
+        )
         .unwrap();
     let groups_before: Vec<usize> = (0..n).map(|i| pop.group_of(&proto, i).number()).collect();
 
@@ -119,7 +143,13 @@ fn star_graph_cannot_partition() {
     let sig = kp.stable_signature(n as u64);
     let mut pop = AgentPopulation::new(&proto, n);
     let mut sched = TopologyScheduler::uniform(Box::new(EdgeListTopology::star(n)), 8);
-    let res = Simulator::new(&proto).run_agents(&mut pop, &mut sched, &sig, 200_000);
+    let res = Simulator::new(&proto).run_agents_observed(
+        &mut pop,
+        &mut sched,
+        &sig,
+        200_000,
+        &mut NullObserver,
+    );
     assert!(res.is_err(), "bipartition cannot stabilise on a star");
     // Exactly one pair (hub + one leaf) ever settles: one agent in g2.
     let sizes = pop.group_sizes(&proto);
